@@ -7,9 +7,10 @@
 // bitset frontiers beats the hash-index row path by >= 2x on the
 // workloads the other benches already time:
 //
-//   tc       — per-source-parallel transitive closure on RandomDigraph
-//              (bench_parallel_tc's graph), row kernel vs the CSR/bitset
-//              kernel (tc/columnar_tc.h);
+//   tc       — per-source transitive closure on RandomDigraph (n up to
+//              400, 4 edges per node), the row BFS kernel
+//              (tc/transitive_closure.h, kBfs) vs the CSR/bitset kernel
+//              (tc/columnar_tc.h);
 //   engine   — the linear-closure GraphLog program on bench_scaling's
 //              graph, the semi-naive engine with eval.columnar off vs on
 //              (CSR build cost included: the engine snapshots EDBs per
@@ -37,7 +38,7 @@
 #include "rpq/rpq_eval.h"
 #include "storage/database.h"
 #include "tc/columnar_tc.h"
-#include "tc/parallel_tc.h"
+#include "tc/transitive_closure.h"
 #include "workload/generators.h"
 
 using namespace graphlog;
@@ -91,7 +92,7 @@ void Report() {
       "spans and word-packed bitset frontiers");
   constexpr int kReps = 5;
 
-  // tc: row kernel vs columnar kernel, largest bench_parallel_tc size.
+  // tc: row kernel vs columnar kernel, largest size.
   {
     const int n = 400;
     storage::Database db = MakeTcGraph(n);
@@ -101,7 +102,8 @@ void Report() {
     std::vector<double> row_ms, col_ms;
     for (int i = 0; i < kReps; ++i) {
       row_ms.push_back(TimeMs([&] {
-        row_tc = CheckOk(tc::ParallelTransitiveClosure(e, 1), "row tc");
+        row_tc = CheckOk(tc::TransitiveClosure(e, tc::TcAlgorithm::kBfs),
+                         "row tc");
       }));
       col_ms.push_back(TimeMs([&] {
         col_tc = CheckOk(
@@ -119,19 +121,24 @@ void Report() {
 
   // engine: eval.columnar off vs on on the linear-closure program,
   // largest bench_scaling size. Fresh database per run (the program
-  // materializes t), timing only the evaluation.
+  // materializes t), timing only the evaluation. Both runs stay on the
+  // rule path (max_iterations), whose joins are what columnar changes;
+  // left alone the engine would hand the closure to the kernel.
   {
     const int n = 256;
     std::vector<double> row_ms, col_ms;
     eval::EvalStats row_stats, col_stats;
     for (int i = 0; i < kReps; ++i) {
       storage::Database row_db = MakeScalingGraph(n);
+      eval::EvalOptions row_opts;
+      row_opts.max_iterations = 1u << 30;
       row_ms.push_back(TimeMs([&] {
-        row_stats =
-            CheckOk(eval::EvaluateText(kClosureProgram, &row_db), "row eval");
+        row_stats = CheckOk(
+            eval::EvaluateText(kClosureProgram, &row_db, row_opts),
+            "row eval");
       }));
       storage::Database col_db = MakeScalingGraph(n);
-      eval::EvalOptions opts;
+      eval::EvalOptions opts = row_opts;
       opts.columnar = true;
       col_ms.push_back(TimeMs([&] {
         col_stats = CheckOk(eval::EvaluateText(kClosureProgram, &col_db, opts),
@@ -187,7 +194,8 @@ void BM_Tc(benchmark::State& state) {
   columnar::CsrCache cache;
   for (auto _ : state) {
     auto tc = strategy == 0
-                  ? CheckOk(tc::ParallelTransitiveClosure(e, 1), "row tc")
+                  ? CheckOk(tc::TransitiveClosure(e, tc::TcAlgorithm::kBfs),
+                            "row tc")
                   : CheckOk(tc::ColumnarTransitiveClosure(
                                 e, 1, nullptr, nullptr, nullptr, &cache),
                             "columnar tc");
@@ -210,6 +218,7 @@ void BM_EngineClosure(benchmark::State& state) {
   int n = static_cast<int>(state.range(1));
   eval::EvalOptions opts;
   opts.columnar = strategy == 1;
+  opts.max_iterations = 1u << 30;  // the rule path, as in Report()
   for (auto _ : state) {
     state.PauseTiming();
     storage::Database db = MakeScalingGraph(n);

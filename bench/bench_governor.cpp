@@ -1,32 +1,24 @@
 // Governor cost model: what governing a query costs when nothing trips,
 // and how fast a cancel lands when something must be stopped.
 //
-//  * BM_EvalGovernorOverhead/{mode}: linear TC through the engine with
-//    mode 0 = no governor (the null-pointer baseline), 1 = governor
-//    attached but idle (token + per-round checks only), 2 = governor with
-//    every budget armed high enough never to trip (the full round-boundary
-//    accounting). The 0-vs-1 and 0-vs-2 deltas are the acceptance gate:
-//    governed-but-untripped must sit within noise of ungoverned.
-//  * BM_ParallelTcGovernorOverhead/{governed}: the same ablation on the
-//    parallel TC fan-out, where the per-task check rides the pool lanes.
-//  * BM_ParallelTcCancelLatency: manual-time measurement of the headline
-//    robustness number — the wall-clock gap between CancellationToken::
-//    Cancel() on a large in-flight parallel closure and the evaluator
-//    returning kCancelled. Bounded by one DFS poll interval per lane, so
-//    it should sit orders of magnitude under the closure's runtime.
+//  * BM_EvalGovernorOverhead/{mode}: linear TC through the engine's rule
+//    path with mode 0 = no governor (the null-pointer baseline), 1 =
+//    governor attached but idle (token + per-round checks only), 2 =
+//    governor with every budget armed high enough never to trip (the
+//    full round-boundary accounting). The 0-vs-1 and 0-vs-2 deltas are
+//    the acceptance gate: governed-but-untripped must sit within noise of
+//    ungoverned. Every mode sets max_iterations so all three stay on the
+//    rule path (an armed budget alone would already keep mode 2 there,
+//    while modes 0 and 1 would go to the closure kernel).
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "eval/engine.h"
 #include "gov/governor.h"
 #include "graphlog/api.h"
 #include "storage/database.h"
-#include "tc/parallel_tc.h"
 #include "workload/generators.h"
 
 using namespace graphlog;
@@ -58,6 +50,7 @@ void BM_EvalGovernorOverhead(benchmark::State& state) {
     storage::Database db;
     CheckOk(workload::RandomDigraph(300, 900, 42, &db), "digraph");
     eval::EvalOptions opts;
+    opts.max_iterations = 1u << 30;
     if (mode == 1) opts.governor = &idle;
     if (mode == 2) opts.governor = &armed;
     state.ResumeTiming();
@@ -72,64 +65,6 @@ BENCHMARK(BM_EvalGovernorOverhead)
     ->Arg(2)
     ->ArgName("mode")
     ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelTcGovernorOverhead(benchmark::State& state) {
-  const bool governed = state.range(0) != 0;
-  storage::Database db;
-  CheckOk(workload::RandomDigraph(600, 2400, 7, &db), "digraph");
-  const storage::Relation& edges = *db.Find("edge");
-  gov::GovernorContext armed = UntrippableGovernor();
-  for (auto _ : state) {
-    auto r = tc::ParallelTransitiveClosure(edges, 4, nullptr,
-                                           governed ? &armed : nullptr);
-    CheckOk(r.status(), "parallel tc");
-    benchmark::DoNotOptimize(r->size());
-  }
-}
-BENCHMARK(BM_ParallelTcGovernorOverhead)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("governed")
-    ->Unit(benchmark::kMillisecond);
-
-/// Manual time: from Cancel() to the evaluator's return. The worker is
-/// launched per iteration and cancelled a moment after it starts; the
-/// closure itself takes far longer than the cancel delay, so nearly every
-/// iteration measures a genuine mid-flight abort (the `cancelled` counter
-/// reports the fraction).
-void BM_ParallelTcCancelLatency(benchmark::State& state) {
-  storage::Database db;
-  CheckOk(workload::RandomDigraph(1200, 6000, 99, &db), "digraph");
-  const storage::Relation& edges = *db.Find("edge");
-  int64_t cancelled = 0, total = 0;
-  for (auto _ : state) {
-    gov::GovernorContext g;
-    gov::CancellationToken token = g.token;
-    std::atomic<bool> started{false};
-    Status result = Status::OK();
-    std::thread worker([&] {
-      started.store(true, std::memory_order_release);
-      result = tc::ParallelTransitiveClosure(edges, 4, nullptr, &g).status();
-    });
-    while (!started.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const auto t0 = std::chrono::steady_clock::now();
-    token.Cancel();
-    worker.join();
-    const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(
-        std::chrono::duration<double>(t1 - t0).count());
-    ++total;
-    if (result.code() == StatusCode::kCancelled) ++cancelled;
-  }
-  state.counters["cancelled_fraction"] =
-      total == 0 ? 0.0 : static_cast<double>(cancelled) / total;
-}
-BENCHMARK(BM_ParallelTcCancelLatency)
-    ->UseManualTime()
-    ->Unit(benchmark::kMicrosecond);
 
 void Report() {
   bench::Banner(

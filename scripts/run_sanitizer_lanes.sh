@@ -31,14 +31,20 @@
 # committing writer is precisely a TSan workload, and the frame codecs
 # shuffling length-prefixed bytes are an ASan one.
 #
+# The closure label (closure_dispatch_test) covers the engine's closure
+# dispatch: the columnar kernel's BFS lanes run on the engine's own pool
+# and write per-source buffers, and the closure relation is bulk-loaded
+# with AppendUnique, whose lazily-rebuilt dedup set must be synced before
+# any lane can probe it.
+#
 # Usage: scripts/run_sanitizer_lanes.sh [LABEL] [BUILD_ROOT]
-# Defaults: LABEL = 'robustness|cache|profile|durability|net' (a ctest -L
-# regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread and
-# ${BUILD_ROOT}-address).
+# Defaults: LABEL = 'robustness|cache|profile|durability|net|closure' (a
+# ctest -L regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread
+# and ${BUILD_ROOT}-address).
 
 set -euo pipefail
 
-LABEL="${1:-robustness|cache|profile|durability|net}"
+LABEL="${1:-robustness|cache|profile|durability|net|closure}"
 BUILD_ROOT="${2:-build-san}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"

@@ -6,7 +6,8 @@ namespace graphlog::columnar {
 
 Result<std::shared_ptr<const Csr>> CsrCache::Get(
     const storage::Relation& rel, obs::MetricsRegistry* metrics,
-    const gov::GovernorContext* governor) {
+    const gov::GovernorContext* governor, bool* built) {
+  if (built != nullptr) *built = false;
   const uint64_t uid = rel.uid();
   bool invalidated = false;
   if (uid != 0) {
@@ -26,8 +27,9 @@ Result<std::shared_ptr<const Csr>> CsrCache::Get(
       invalidated = true;
     }
   }
-  GRAPHLOG_ASSIGN_OR_RETURN(Csr built, BuildCsr(rel, metrics, governor));
-  auto csr = std::make_shared<const Csr>(std::move(built));
+  GRAPHLOG_ASSIGN_OR_RETURN(Csr fresh, BuildCsr(rel, metrics, governor));
+  auto csr = std::make_shared<const Csr>(std::move(fresh));
+  if (built != nullptr) *built = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.builds;

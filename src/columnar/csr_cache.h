@@ -35,9 +35,10 @@ class CsrCache {
   /// cached one when still valid. `metrics` (nullable) receives
   /// columnar.builds / build_ns / reuses / invalidations; `governor`
   /// (nullable) gates builds through the `csr.build` injection point.
+  /// `built` (nullable) is set to whether this call built the snapshot.
   Result<std::shared_ptr<const Csr>> Get(
       const storage::Relation& rel, obs::MetricsRegistry* metrics = nullptr,
-      const gov::GovernorContext* governor = nullptr);
+      const gov::GovernorContext* governor = nullptr, bool* built = nullptr);
 
   /// \brief Lifetime counters (also exported as columnar.* metrics).
   struct Stats {

@@ -22,6 +22,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "storage/tuple.h"
+#include "tc/columnar_tc.h"
 
 namespace graphlog::eval {
 
@@ -182,6 +183,7 @@ class Engine {
       stats_.index_appends += rel.index_appends();
     }
     stats_.index_builds -= base_builds;
+    stats_.index_builds += kernel_index_builds_;
     stats_.index_appends -= base_appends;
     if (options_.tracer != nullptr) {
       obs::Metrics& m = options_.tracer->metrics();
@@ -293,6 +295,55 @@ class Engine {
       (recursive ? rec_rules : base_rules).push_back(i);
     }
 
+    // Closure dispatch: TC rule pairs leave the rule lists and are
+    // materialized by the columnar kernel once their base is complete.
+    const bool seed_round = !aggregate_rules.empty() || !base_rules.empty();
+    std::vector<RoutedClosure> routed;
+    if (!rec_rules.empty() && ClosureDispatchAllowed(options_)) {
+      for (const ClosureDispatch& d :
+           PlanClosureDispatch(prog_, rule_indices, *db_)) {
+        RoutedClosure c;
+        c.plan = d;
+        // The rule path derives p's depth-1 pairs in the one-shot pass
+        // when q is complete before the stratum, and in round 1 when q is
+        // stratum-local. Then the depth-2 pairs land in round 1 as well
+        // if the base rule comes first (the recursive rule's later batch
+        // sees its merge); otherwise every depth lands one round later.
+        c.lag = d.base_in_stratum && d.rec_rule < d.base_rule ? 1 : 0;
+        routed.push_back(std::move(c));
+      }
+      auto is_routed = [&](int i) {
+        for (const RoutedClosure& c : routed) {
+          if (i == c.plan.base_rule || i == c.plan.rec_rule) return true;
+        }
+        return false;
+      };
+      std::erase_if(base_rules, is_routed);
+      std::erase_if(rec_rules, is_routed);
+      for (const RoutedClosure& c : routed) {
+        const std::string route = c.plan.ToString(db_->symbols());
+        if (options_.tracer != nullptr) {
+          options_.tracer->AddNote(
+              "closure " + db_->symbols().name(c.plan.pred), route);
+        }
+        if (options_.profile != nullptr) {
+          // One step per rule: the BFS's adjacency probes of q, wave 1
+          // from every source, later waves from every reached node.
+          const std::string q = db_->symbols().name(c.plan.base);
+          const uint64_t fanout = est(c.plan.base, {0});
+          for (int i : {c.plan.base_rule, c.plan.rec_rule}) {
+            obs::RuleProfile& rp = options_.profile->rules[i];
+            rp.plan = route;
+            rp.steps.assign(1, obs::StepProfile{});
+            rp.steps[0].op = i == c.plan.base_rule
+                                 ? "expand " + q + "(0) from each source"
+                                 : "expand " + q + "(0) from each reached node";
+            rp.steps[0].estimated_rows = fanout;
+          }
+        }
+      }
+    }
+
     // One pass over non-recursive rules. Base rules never read a local
     // head (that would make them recursive), so they usually fan out as
     // one batch; RunTasksBatched still verifies independence.
@@ -302,18 +353,108 @@ class Engine {
       base_tasks.push_back({i, kNoSymbol, -1});
     }
     GRAPHLOG_RETURN_NOT_OK(RunTasksBatched(base_tasks, nullptr, nullptr));
+    for (RoutedClosure& c : routed) {
+      GRAPHLOG_RETURN_NOT_OK(RunClosureKernel(&c));
+      if (!c.plan.base_in_stratum) EmitDepths(&c, 1, nullptr);
+    }
     // The stratum's one-shot pass (aggregates + non-recursive rules) is
     // the round log's round 0, so the log's firings/derived sums match
     // the run totals. No deltas exist yet: it seeds from lower strata.
-    if (!aggregate_rules.empty() || !base_rules.empty()) {
+    if (seed_round) {
       RecordRound(0, seed_firings_before, seed_derived_before);
     }
-    if (rec_rules.empty()) return Status::OK();
+    if (rec_rules.empty() && routed.empty()) return Status::OK();
 
     if (options_.strategy == Strategy::kNaive) {
       return NaiveFixpoint(rec_rules);
     }
-    return SemiNaiveFixpoint(rec_rules, local_idbs);
+    return SemiNaiveFixpoint(rec_rules, local_idbs, &routed);
+  }
+
+  /// A closure predicate this stratum materializes with the kernel, and
+  /// how far its replay of the rule path's round log has got.
+  struct RoutedClosure {
+    ClosureDispatch plan;
+    tc::ColumnarClosure closure;
+    /// By the end of its round r >= 1 the rule path has derived every
+    /// depth up to r + 1 - lag.
+    size_t lag = 0;
+    /// Depths whose pairs the round log has accounted so far.
+    size_t emitted = 0;
+  };
+
+  /// Runs the closure kernel over p's base on the engine's pool and
+  /// bulk-loads the result into p's (empty) relation. p's dedup set stays
+  /// unbuilt until something needs it: lanes only test membership in
+  /// task heads, which RunTaskBatch syncs before fanning out.
+  Status RunClosureKernel(RoutedClosure* c) {
+    const SymbolTable& syms = db_->symbols();
+    obs::SpanGuard span(options_.tracer, "tc.kernel");
+    const uint64_t t0 = options_.profile != nullptr ? obs::NowNs() : 0;
+    tc::ClosureOptions ko;
+    ko.metrics = options_.metrics;
+    ko.governor = options_.governor;
+    // Bases this program derives are rebuilt every run; caching their
+    // snapshots would only pin memory.
+    ko.cache = baseline_.count(c->plan.base) > 0 ? nullptr : csr_cache_;
+    const Relation* edges = Resolve(c->plan.base);
+    const Relation none(2);
+    GRAPHLOG_ASSIGN_OR_RETURN(
+        c->closure, tc::ComputeColumnarClosure(
+                        edges != nullptr ? *edges : none, pool_.get(), ko));
+    // The CSR stands in for the hash index the recursive rule's probe of
+    // q would have built.
+    if (c->closure.built_csr) ++kernel_index_builds_;
+    Relation* out = db_->FindMutable(c->plan.pred);
+    c->closure.AppendTo(out);
+    // Only the wave-ordered lists are replayed from here on.
+    std::vector<std::vector<uint32_t>>().swap(c->closure.reach);
+    if (span.enabled()) {
+      span.AddNote("route", c->plan.ToString(syms));
+      span.AddAttr("sources",
+                   static_cast<int64_t>(c->closure.csr->num_nodes()));
+      span.AddAttr("pairs", static_cast<int64_t>(c->closure.pairs));
+      span.AddAttr("waves", static_cast<int64_t>(c->closure.waves.size()));
+    }
+    if (options_.profile != nullptr) {
+      options_.profile->rules[c->plan.rec_rule].wall_ns +=
+          obs::NowNs() - t0;
+    }
+    return Status::OK();
+  }
+
+  /// Accounts the closure's depths up to `through` as the rule path
+  /// would: the pairs count as derived, the wave's edge expansions as
+  /// rule firings (and in the two rules' profiles), and the pairs
+  /// themselves go to `next` (the round's new delta) when given.
+  void EmitDepths(RoutedClosure* c, size_t through, Relation* next) {
+    const tc::TcWaves& w = c->closure.waves;
+    for (size_t d = c->emitted + 1; d <= through; ++d) {
+      if (d > w.size()) break;
+      if (next != nullptr) c->closure.AppendDepth(d, next);
+      const uint64_t exp = w.expansions[d - 1];
+      const uint64_t reached = w.reached[d - 1];
+      const uint64_t revisits = w.revisits[d - 1];
+      stats_.tuples_derived += reached;
+      stats_.rule_firings += exp;
+      if (options_.profile != nullptr) {
+        obs::RuleProfile& rp = options_.profile->rules[
+            d == 1 ? c->plan.base_rule : c->plan.rec_rule];
+        rp.firings += exp;
+        rp.rows_emitted += reached;
+        rp.dup_in_head += revisits;
+        rp.dup_in_round += exp - revisits - reached;
+        // Wave d expands every node first reached at depth d - 1 (wave
+        // 1: every source), each through one CSR adjacency span.
+        const uint64_t probes = d == 1 ? c->closure.csr->num_nodes()
+                                       : w.reached[d - 2];
+        obs::StepProfile& step = rp.steps[0];
+        step.invocations += probes;
+        step.csr_invocations += probes;
+        step.rows_out += exp;
+      }
+    }
+    if (through > c->emitted) c->emitted = through;
   }
 
   Status NaiveFixpoint(const std::vector<int>& rec_rules) {
@@ -363,21 +504,35 @@ class Engine {
   }
 
   Status SemiNaiveFixpoint(const std::vector<int>& rec_rules,
-                           const std::set<Symbol>& local_idbs) {
-    // delta[p] starts as everything currently known for p. Relations are
-    // emplaced empty and filled in place so no populated relation is ever
-    // moved.
+                           const std::set<Symbol>& local_idbs,
+                           std::vector<RoutedClosure>* routed) {
+    // delta[p] starts as everything currently known for p — for a routed
+    // closure, what the rule path would know by now: the depths its round
+    // log has accounted. Relations are emplaced empty and filled in place
+    // so no populated relation is ever moved.
     std::map<Symbol, Relation> delta;
     for (Symbol p : local_idbs) {
       const Relation* full = db_->Find(p);
       auto [it, inserted] = delta.emplace(p, Relation(full->arity()));
       (void)inserted;
-      it->second.InsertAll(*full);
+      const RoutedClosure* c = nullptr;
+      for (const RoutedClosure& r : *routed) {
+        if (r.plan.pred == p) c = &r;
+      }
+      if (c == nullptr) {
+        it->second.InsertAll(*full);
+        continue;
+      }
+      for (size_t d = 1; d <= c->emitted; ++d) {
+        c->closure.AppendDepth(d, &it->second);
+      }
     }
 
     bool any_delta = true;
     int64_t round = 0;
+    size_t round_no = 0;  // 1-based index of the round being run
     while (any_delta) {
+      ++round_no;
       // Combined delta at the round start: feeds the governed
       // round-boundary check (delta-rows/bytes budgets) and the
       // peak-working-set stats. O(local IDBs) per round.
@@ -429,6 +584,9 @@ class Engine {
         }
       }
       GRAPHLOG_RETURN_NOT_OK(RunTasksBatched(round, &delta, &next));
+      for (RoutedClosure& c : *routed) {
+        EmitDepths(&c, round_no + 1 - c.lag, &next.at(c.plan.pred));
+      }
       RecordRound(delta_rows, firings_before, derived_before);
       any_delta = false;
       for (auto& [p, d] : next) {
@@ -556,6 +714,10 @@ class Engine {
       TaskState& st = states[t];
       st.rule = &compiled_.at(task.rule);
       st.head_rel = db_->Find(st.rule->head_predicate());
+      // Lanes test membership in the head; a bulk-loaded head (a
+      // dispatched closure's relation) rebuilds its dedup set here,
+      // serially, rather than racing to do so in a lane.
+      st.head_rel->SyncSet();
       st.resolver = MakeResolver(task, delta);
       // Pre-build every index the plan probes so the fan-out below only
       // reads relation state. Unconditional (also on the serial path) so
@@ -1035,9 +1197,72 @@ class Engine {
   std::string truncated_by_;
   int64_t stratum_ = 0;  // current stratum index, for trip messages
   int64_t prof_round_ = 0;  // round index within the stratum (profiling)
+  // CSR snapshots the closure kernel built (counted as index builds).
+  uint64_t kernel_index_builds_ = 0;
 };
 
 }  // namespace
+
+std::string ClosureDispatch::ToString(const SymbolTable& syms) const {
+  return "closure kernel: " + syms.name(pred) + " over " + syms.name(base);
+}
+
+bool ClosureDispatchAllowed(const EvalOptions& options) {
+  return options.strategy == Strategy::kSemiNaive &&
+         options.provenance == nullptr && options.max_iterations == 0 &&
+         (options.governor == nullptr || !options.governor->budget.any());
+}
+
+std::vector<ClosureDispatch> PlanClosureDispatch(
+    const Program& prog, const std::vector<int>& rules, const Database& db) {
+  std::set<Symbol> local;
+  for (int i : rules) local.insert(prog.rules[i].head.predicate);
+  // Stratum-local relational subgoals of rule i.
+  auto local_subgoals = [&](int i) {
+    std::vector<Symbol> out;
+    for (const auto& l : prog.rules[i].body) {
+      if (l.is_relational() && local.count(l.atom.predicate) > 0) {
+        out.push_back(l.atom.predicate);
+      }
+    }
+    return out;
+  };
+  std::vector<ClosureDispatch> out;
+  std::set<Symbol> tried;
+  for (int i : rules) {
+    const Symbol p = prog.rules[i].head.predicate;
+    if (!tried.insert(p).second) continue;
+    auto shape = datalog::MatchTcRules(prog, p);
+    if (!shape.ok() || shape->n != 1 || shape->w != 0) continue;
+    const Relation* rel = db.Find(p);
+    if (rel != nullptr && !rel->empty()) continue;
+    ClosureDispatch d;
+    d.pred = p;
+    d.base = shape->base;
+    d.base_in_stratum = local.count(d.base) > 0;
+    const Relation* base = db.Find(d.base);
+    if (base != nullptr && base->arity() != 2) continue;
+    bool ok = true;
+    for (int j : rules) {
+      const Symbol h = prog.rules[j].head.predicate;
+      const std::vector<Symbol> reads = local_subgoals(j);
+      if (h == p) {
+        // MatchTcRules: the base rule has one subgoal, the recursive two.
+        (prog.rules[j].body.size() == 1 ? d.base_rule : d.rec_rule) = j;
+        continue;
+      }
+      const bool reads_p = std::count(reads.begin(), reads.end(), p) > 0;
+      // The base must be complete once the one-shot pass has run; any
+      // other reader of p must see nothing but p's delta.
+      if ((h == d.base && !reads.empty()) || (reads_p && reads.size() != 1)) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) out.push_back(d);
+  }
+  return out;
+}
 
 Result<EvalStats> Evaluate(const Program& prog, Database* db,
                            const EvalOptions& options) {

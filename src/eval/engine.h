@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "datalog/ast.h"
@@ -99,8 +100,10 @@ struct EvalOptions {
   /// row path.
   bool columnar = false;
   /// Cache of CSR snapshots reused across runs (invalidation by
-  /// data_generation; see columnar/csr_cache.h). Null with columnar set
-  /// means a fresh per-run cache — correct, but rebuilds CSRs every run.
+  /// data_generation; see columnar/csr_cache.h), serving the columnar
+  /// join path and, whatever `columnar` says, the closure kernel's EDB
+  /// bases (see ClosureDispatch). Null means a fresh per-run cache —
+  /// correct, but rebuilds CSRs every run.
   columnar::CsrCache* csr_cache = nullptr;
   /// When set, the engine fills a plan-level execution profile (EXPLAIN
   /// ANALYZE): per rule and per plan step, probes issued, rows matched,
@@ -120,7 +123,9 @@ struct EvalStats {
   uint64_t rule_firings = 0;    ///< satisfying assignments enumerated
   uint64_t tuples_derived = 0;  ///< novel tuples inserted into IDBs
   uint64_t strata = 0;
-  uint64_t index_builds = 0;    ///< full hash-index builds across relations
+  /// Full hash-index builds across relations, plus the CSR snapshots
+  /// the closure kernel built for its bases (see ClosureDispatch).
+  uint64_t index_builds = 0;
   uint64_t index_appends = 0;   ///< incremental index row appends
   /// Peak transient working set of the semi-naive loop: the largest total
   /// delta-relation row count (resp. estimated bytes, see
@@ -161,6 +166,41 @@ struct EvalStats {
     if (truncated_by.empty()) truncated_by = other.truncated_by;
   }
 };
+
+/// \brief One closure predicate the engine materializes with the columnar
+/// TC kernel (tc/columnar_tc.h) instead of running its two rules. See
+/// DESIGN.md, "Closure dispatch".
+struct ClosureDispatch {
+  Symbol pred = kNoSymbol;  ///< p, defined by the TC rule pair below
+  Symbol base = kNoSymbol;  ///< q
+  int base_rule = -1;       ///< p(X, Y) :- q(X, Y).
+  int rec_rule = -1;        ///< p(X, Y) :- q(X, Z), p(Z, Y).
+  /// True when q is defined in p's own stratum (by non-recursive rules
+  /// only, so it is complete after the stratum's one-shot pass).
+  bool base_in_stratum = false;
+
+  /// \brief The route as EXPLAIN names it: "closure kernel: p over q".
+  std::string ToString(const SymbolTable& syms) const;
+};
+
+/// \brief True when `options` admit closure dispatch at all: semi-naive,
+/// no provenance, no armed resource budget, no max_iterations. Every
+/// other run stays on the rule path, so kNaive is the rule-only oracle.
+bool ClosureDispatchAllowed(const EvalOptions& options);
+
+/// \brief The predicates of one stratum (`rules`: its rule indices in
+/// `prog`) that the engine dispatches to the closure kernel, in rule
+/// order. A predicate qualifies when datalog::MatchTcRules accepts it
+/// with n=1, w=0; its relation in `db` is absent or empty; its base is
+/// binary and complete before the stratum's fixpoint (an EDB, a lower
+/// stratum, or a stratum-local predicate with only non-recursive rules);
+/// and every other rule of the stratum reading it has no other
+/// stratum-local subgoal, so it only ever reads the closure's per-round
+/// delta. Under those conditions the dispatched stratum reproduces the
+/// rule path's rounds exactly (iterations, per-round derived rows).
+std::vector<ClosureDispatch> PlanClosureDispatch(
+    const datalog::Program& prog, const std::vector<int>& rules,
+    const storage::Database& db);
 
 /// \brief Evaluates `prog` against `db` (checking arity consistency,
 /// safety, and stratifiability first). IDB relations are created or

@@ -1,8 +1,9 @@
 // A small reusable fork-join thread pool.
 //
-// The evaluation engine (eval/engine.cc) and the parallel TC kernel
-// (tc/parallel_tc.cc) both fan data-parallel work over a fixed set of
-// worker lanes and then merge per-lane results deterministically. This
+// The evaluation engine (eval/engine.cc) and the columnar TC kernel it
+// dispatches closures to (tc/columnar_tc.cc) both fan data-parallel work
+// over a fixed set of worker lanes and then merge per-item results
+// deterministically. This
 // pool provides exactly that primitive: ParallelFor dispatches a dense
 // index range across lanes through a shared work counter and blocks until
 // every index has run. Work items must not assume any ordering — callers

@@ -183,9 +183,11 @@ Status RunSummaryGraph(const QueryGraph& g, Database* db,
 /// materialized yet — those lines are labeled "(pre-run)"; the
 /// per-stratum trace notes record the plans actually chosen at execution
 /// time, and EXPLAIN ANALYZE (observability.profile) reports the
-/// post-stratum actuals per atom.
+/// post-stratum actuals per atom. A last section names the closure
+/// predicates `eval_options` would send to the closure kernel.
 std::string RenderProgramExplain(const datalog::Program& prog,
-                                 size_t rule_offset, Database* db) {
+                                 size_t rule_offset, Database* db,
+                                 const eval::EvalOptions& eval_options) {
   const SymbolTable& syms = db->symbols();
   std::string out = "  program:\n";
   for (size_t i = 0; i < prog.rules.size(); ++i) {
@@ -222,6 +224,18 @@ std::string RenderProgramExplain(const datalog::Program& prog,
       out += " (pre-run)";
     }
     out += "\n";
+  }
+  // Closure predicates the engine hands to the columnar kernel instead
+  // of running their two rules (eval::PlanClosureDispatch).
+  if (eval::ClosureDispatchAllowed(eval_options)) {
+    for (size_t s = 0; s < strat->rule_groups.size(); ++s) {
+      for (const eval::ClosureDispatch& d :
+           eval::PlanClosureDispatch(prog, strat->rule_groups[s], *db)) {
+        out += "  stratum " + std::to_string(s) + ": " + d.ToString(syms) +
+               " (rules " + std::to_string(rule_offset + d.base_rule) + " " +
+               std::to_string(rule_offset + d.rec_rule) + ")\n";
+      }
+    }
   }
   return out;
 }
@@ -321,7 +335,8 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
     }
     if (explain) {
       resp->explain += "graph " + head + ":\n" +
-                       RenderProgramExplain(t.program, rule_offset, db);
+                       RenderProgramExplain(t.program, rule_offset, db,
+                                            options.eval);
     }
     rule_offset += t.program.size();
     if (!execute) continue;
@@ -391,7 +406,9 @@ Status RunDatalog(const QueryRequest& req, const QueryOptions& options,
   }
   const bool explain = options.observability.explain ||
                        options.observability.explain_only;
-  if (explain) resp->explain += RenderProgramExplain(prog, 0, db);
+  if (explain) {
+    resp->explain += RenderProgramExplain(prog, 0, db, options.eval);
+  }
   if (options.observability.explain_only) return Status::OK();
 
   if (options.eval.provenance != nullptr) {

@@ -572,9 +572,9 @@ Result<QueryResponse> Session::Run(QueryRequest req) {
   if (o.eval.num_threads == 1 && d.eval.num_threads != 1) {
     o.eval.num_threads = d.eval.num_threads;
   }
-  if (o.eval.columnar && o.eval.csr_cache == nullptr) {
-    o.eval.csr_cache = &csr_cache_;
-  }
+  // Columnar or not, the closure kernel reads EDB bases through CSR
+  // snapshots: the session's cache builds each once per data change.
+  if (o.eval.csr_cache == nullptr) o.eval.csr_cache = &csr_cache_;
   // Slow-query attribution: which session ran the query, under which
   // server epoch. Attached sessions (and graphlog::Run, which is one)
   // run raw against the caller's database — their records stay

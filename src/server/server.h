@@ -401,7 +401,7 @@ class Session {
   storage::Database& database() { return *db_; }
   const storage::Database& database() const { return *db_; }
 
-  /// \brief Per-session CSR snapshot cache (columnar runs default to it).
+  /// \brief Per-session CSR snapshot cache (every run defaults to it).
   columnar::CsrCache& csr_cache() { return csr_cache_; }
 
   struct Stats {

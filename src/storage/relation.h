@@ -127,6 +127,20 @@ class Relation {
     memory_dirty_ = true;
   }
 
+  /// \brief Rebuilds the lazily-deferred tail of the dedup set after a
+  /// run of AppendUnique() calls (no-op otherwise). The loop starts at the
+  /// current set size: rows below it were inserted through the tracked
+  /// path. Call it serially after a bulk load and before concurrent
+  /// readers may reach Contains().
+  void SyncSet() const {
+    if (!set_stale_) return;
+    set_.reserve(rows_.size());
+    for (size_t i = set_.size(); i < rows_.size(); ++i) set_.insert(rows_[i]);
+    assert(set_.size() == rows_.size() &&
+           "AppendUnique was fed a duplicate row");
+    set_stale_ = false;
+  }
+
   /// \brief Inserts `t` like Insert() but WITHOUT bumping data_generation():
   /// the staging half of a multi-relation atomic write. The structural
   /// generation still advances (outstanding ProbeResults are invalidated),
@@ -340,18 +354,6 @@ class Relation {
 
  private:
   using Index = std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash>;
-
-  /// \brief Rebuilds the lazily-deferred tail of the dedup set after a
-  /// run of AppendUnique() calls. The loop starts at the current set
-  /// size: rows below it were inserted through the tracked path.
-  void SyncSet() const {
-    if (!set_stale_) return;
-    set_.reserve(rows_.size());
-    for (size_t i = set_.size(); i < rows_.size(); ++i) set_.insert(rows_[i]);
-    assert(set_.size() == rows_.size() &&
-           "AppendUnique was fed a duplicate row");
-    set_stale_ = false;
-  }
 
   const Index& EnsureIndex(const std::vector<uint32_t>& cols) const {
     auto it = indexes_.find(cols);

@@ -19,29 +19,71 @@ using columnar::Csr;
 using storage::Relation;
 using storage::Tuple;
 
-Result<Relation> ColumnarTransitiveClosure(
-    const Relation& edges, unsigned num_threads,
-    obs::MetricsRegistry* metrics, const gov::GovernorContext* governor,
-    TcStats* stats, columnar::CsrCache* cache) {
+namespace {
+
+/// Adds `src` into `dst` element-wise, growing `dst` as needed.
+void AddInto(std::vector<uint64_t>* dst, const std::vector<uint64_t>& src) {
+  if (dst->size() < src.size()) dst->resize(src.size(), 0);
+  for (size_t k = 0; k < src.size(); ++k) (*dst)[k] += src[k];
+}
+
+/// Bumps slot `k` of `v`, growing it as needed.
+void Bump(std::vector<uint64_t>* v, size_t k, uint64_t by) {
+  if (v->size() <= k) v->resize(k + 1, 0);
+  (*v)[k] += by;
+}
+
+}  // namespace
+
+void ColumnarClosure::AppendTo(Relation* out) const {
+  out->Reserve(out->size() + pairs);
+  for (uint32_t s = 0; s < reach.size(); ++s) {
+    const Value& vs = csr->values[s];
+    for (uint32_t v : reach[s]) out->AppendUnique(Tuple{vs, csr->values[v]});
+  }
+}
+
+uint64_t ColumnarClosure::AppendDepth(size_t depth, Relation* out) const {
+  if (depth == 0 || depth > waves.reached.size()) return 0;
+  out->Reserve(out->size() + waves.reached[depth - 1]);
+  uint64_t n = 0;
+  for (uint32_t s = 0; s < by_wave.size(); ++s) {
+    const std::vector<uint32_t>& ends = wave_ends[s];
+    if (ends.size() < depth) continue;
+    const uint32_t begin = depth == 1 ? 0 : ends[depth - 2];
+    const Value& vs = csr->values[s];
+    for (uint32_t i = begin; i < ends[depth - 1]; ++i) {
+      out->AppendUnique(Tuple{vs, csr->values[by_wave[s][i]]});
+      ++n;
+    }
+  }
+  return n;
+}
+
+Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
+                                               exec::ThreadPool* pool,
+                                               const ClosureOptions& options) {
   if (edges.arity() != 2) {
     return Status::InvalidArgument(
         "transitive closure requires a binary relation");
   }
-  const unsigned lanes = exec::ThreadPool::ResolveParallelism(num_threads);
-
-  std::shared_ptr<const Csr> csr;
-  if (cache != nullptr) {
-    GRAPHLOG_ASSIGN_OR_RETURN(csr, cache->Get(edges, metrics, governor));
+  const gov::GovernorContext* governor = options.governor;
+  ColumnarClosure out;
+  if (options.cache != nullptr) {
+    GRAPHLOG_ASSIGN_OR_RETURN(
+        out.csr, options.cache->Get(edges, options.metrics, governor,
+                                    &out.built_csr));
   } else {
-    GRAPHLOG_ASSIGN_OR_RETURN(Csr built,
-                              columnar::BuildCsr(edges, metrics, governor));
-    csr = std::make_shared<const Csr>(std::move(built));
+    GRAPHLOG_ASSIGN_OR_RETURN(
+        Csr built, columnar::BuildCsr(edges, options.metrics, governor));
+    out.csr = std::make_shared<const Csr>(std::move(built));
   }
-  const uint32_t n = csr->num_nodes();
+  const Csr& csr = *out.csr;
+  const uint32_t n = csr.num_nodes();
 
-  // Same governed fan-out discipline as ParallelTransitiveClosure: one
-  // BFS per source, first failing source (in source order) wins, lanes
-  // drain once the stop flag is up, token polled inside the expansion.
+  // Governed fan-out: one BFS per source, first failing source (in
+  // source order) wins, lanes drain once the stop flag is up, token
+  // polled inside the expansion.
   std::atomic<bool> stop{false};
   std::mutex err_mu;
   Status lane_error = Status::OK();
@@ -56,85 +98,126 @@ Result<Relation> ColumnarTransitiveClosure(
   };
   const std::atomic<bool>* cancel =
       governor != nullptr ? governor->token.flag() : nullptr;
-  std::vector<std::vector<uint32_t>> reach(n);
-  {
-    exec::ThreadPool pool(lanes);
-    // Per-worker scratch bitsets, reused across sources.
-    struct Scratch {
-      Bitset visited, frontier, next;
-    };
-    std::vector<Scratch> scratch(pool.parallelism());
-    for (Scratch& sc : scratch) {
-      sc.visited.ResetTo(n);
-      sc.frontier.ResetTo(n);
-      sc.next.ResetTo(n);
+  out.reach.resize(n);
+  out.by_wave.resize(n);
+  out.wave_ends.resize(n);
+  // Per-worker scratch bitsets (reused across sources) and per-worker
+  // wave histograms, summed after the join.
+  struct Scratch {
+    Bitset visited, frontier, next;
+    TcWaves waves;
+  };
+  std::vector<Scratch> scratch(pool != nullptr ? pool->parallelism() : 1);
+  for (Scratch& sc : scratch) {
+    sc.visited.ResetTo(n);
+    sc.frontier.ResetTo(n);
+    sc.next.ResetTo(n);
+  }
+  auto bfs = [&](unsigned wid, size_t s) {
+    if (governor != nullptr) {
+      if (stop.load(std::memory_order_relaxed)) return;
+      Status st = governor->Check("pool.task");
+      if (st.ok()) st = governor->Check("tc.expand");
+      if (!st.ok()) {
+        record_error(s, std::move(st));
+        return;
+      }
     }
-    pool.ParallelFor(
-        n,
-        [&](unsigned wid, size_t s) {
-          if (governor != nullptr) {
-            if (stop.load(std::memory_order_relaxed)) return;
-            Status st = governor->Check("tc.expand");
-            if (!st.ok()) {
-              record_error(s, std::move(st));
-              return;
-            }
-          }
-          Scratch& sc = scratch[wid];
-          sc.visited.Reset();
-          sc.frontier.Reset();
-          for (uint32_t v : csr->Sorted(static_cast<uint32_t>(s))) {
-            sc.frontier.Set(v);
-          }
-          size_t expansions = 0;
-          // frontier &~ visited = the genuinely new wave; or its spans
-          // into next; repeat until the wave is empty.
-          while (sc.frontier.AndNot(sc.visited)) {
-            sc.visited.OrWith(sc.frontier);
-            sc.next.Reset();
-            bool aborted = false;
-            sc.frontier.ForEachSet([&](uint32_t u) {
-              if (aborted) return;
-              if (cancel != nullptr && (++expansions & 1023u) == 0 &&
-                  cancel->load(std::memory_order_relaxed)) {
-                record_error(s,
-                             Status::Cancelled(
-                                 "query cancelled at tc.expand"));
-                aborted = true;
-                return;
-              }
-              for (uint32_t v : csr->Sorted(u)) sc.next.Set(v);
-            });
-            if (aborted) return;
-            std::swap(sc.frontier, sc.next);
-          }
-          std::vector<uint32_t>& local = reach[s];
-          local.reserve(sc.visited.Count());
-          sc.visited.ForEachSet([&](uint32_t v) { local.push_back(v); });
-        },
-        governor != nullptr ? &stop : nullptr);
+    Scratch& sc = scratch[wid];
+    sc.visited.Reset();
+    sc.frontier.Reset();
+    // Wave 1 expands the source's own edges onto an empty visited set.
+    uint64_t wave_exp = 0, wave_rev = 0;
+    for (uint32_t v : csr.Sorted(static_cast<uint32_t>(s))) {
+      sc.frontier.Set(v);
+      ++wave_exp;
+    }
+    size_t popped = 0;
+    size_t depth = 0;
+    // frontier &~ visited = the genuinely new wave; or its spans into
+    // next; repeat until a wave reaches nothing new.
+    while (true) {
+      const bool any = sc.frontier.AndNot(sc.visited);
+      Bump(&sc.waves.expansions, depth, wave_exp);
+      Bump(&sc.waves.revisits, depth, wave_rev);
+      Bump(&sc.waves.reached, depth, any ? sc.frontier.Count() : 0);
+      if (!any) break;
+      ++depth;
+      sc.visited.OrWith(sc.frontier);
+      std::vector<uint32_t>& order = out.by_wave[s];
+      sc.frontier.ForEachSet([&](uint32_t v) { order.push_back(v); });
+      out.wave_ends[s].push_back(static_cast<uint32_t>(order.size()));
+      sc.next.Reset();
+      wave_exp = wave_rev = 0;
+      bool aborted = false;
+      sc.frontier.ForEachSet([&](uint32_t u) {
+        if (aborted) return;
+        if (cancel != nullptr && (++popped & 1023u) == 0 &&
+            cancel->load(std::memory_order_relaxed)) {
+          record_error(s, Status::Cancelled("query cancelled at tc.expand"));
+          aborted = true;
+          return;
+        }
+        for (uint32_t v : csr.Sorted(u)) {
+          ++wave_exp;
+          if (sc.visited.Test(v)) ++wave_rev;
+          sc.next.Set(v);
+        }
+      });
+      if (aborted) return;
+      std::swap(sc.frontier, sc.next);
+    }
+    std::vector<uint32_t>& local = out.reach[s];
+    local.reserve(sc.visited.Count());
+    sc.visited.ForEachSet([&](uint32_t v) { local.push_back(v); });
+  };
+  if (pool != nullptr && n > 1) {
+    pool->ParallelFor(n, bfs, governor != nullptr ? &stop : nullptr);
+  } else {
+    for (size_t s = 0; s < n && !stop.load(std::memory_order_relaxed); ++s) {
+      bfs(0, s);
+    }
   }
   if (err_src < n) return lane_error;
 
-  size_t total = 0;
-  for (const auto& local : reach) total += local.size();
+  for (const Scratch& sc : scratch) {
+    AddInto(&out.waves.reached, sc.waves.reached);
+    AddInto(&out.waves.expansions, sc.waves.expansions);
+    AddInto(&out.waves.revisits, sc.waves.revisits);
+  }
+  for (const auto& local : out.reach) out.pairs += local.size();
+  if (options.metrics != nullptr) {
+    options.metrics->counter("tc.invocations")->Increment();
+    options.metrics->counter("tc.pair_visits")->Add(out.pairs);
+    options.metrics->histogram("tc.output_pairs")
+        ->Observe(static_cast<int64_t>(out.pairs));
+  }
+  return out;
+}
+
+Result<Relation> ColumnarTransitiveClosure(
+    const Relation& edges, unsigned num_threads,
+    obs::MetricsRegistry* metrics, const gov::GovernorContext* governor,
+    TcStats* stats, columnar::CsrCache* cache) {
+  std::unique_ptr<exec::ThreadPool> pool;
+  const unsigned lanes = exec::ThreadPool::ResolveParallelism(num_threads);
+  if (lanes > 1) pool = std::make_unique<exec::ThreadPool>(lanes);
+  ClosureOptions options;
+  options.metrics = metrics;
+  options.governor = governor;
+  options.cache = cache;
+  GRAPHLOG_ASSIGN_OR_RETURN(
+      ColumnarClosure closure,
+      ComputeColumnarClosure(edges, pool.get(), options));
+
   Relation tc(2);
-  tc.Reserve(total);
-  // Each (source, reached) pair is unique by construction — sources are
-  // distinct and each source's reach set holds distinct nodes — so the
-  // merge bulk-loads past the dedup set entirely.
-  for (uint32_t s = 0; s < n; ++s) {
-    const Value& vs = csr->values[s];
-    for (uint32_t v : reach[s]) {
-      tc.AppendUnique(Tuple{vs, csr->values[v]});
-    }
-  }
+  closure.AppendTo(&tc);
   if (stats != nullptr) {
-    stats->rounds = n;
-    stats->pair_visits = total;
+    stats->rounds = closure.reach.size();
+    stats->pair_visits = closure.pairs;
   }
-  // Budgets on the merged closure, exactly as in parallel_tc.cc: the
-  // deterministic boundary of the kernel.
+  // Budgets on the merged closure: the deterministic boundary of the
+  // kernel.
   if (governor != nullptr) {
     GRAPHLOG_RETURN_NOT_OK(governor->CheckInterrupts("tc.expand"));
     const gov::ResourceBudget& b = governor->budget;
@@ -159,12 +242,6 @@ Result<Relation> ColumnarTransitiveClosure(
       tc.TruncateTo(row_cap);
       if (stats != nullptr) stats->truncated = true;
     }
-  }
-  if (metrics != nullptr) {
-    metrics->counter("tc.invocations")->Increment();
-    metrics->counter("tc.pair_visits")->Add(total);
-    metrics->histogram("tc.output_pairs")
-        ->Observe(static_cast<int64_t>(tc.size()));
   }
   return tc;
 }

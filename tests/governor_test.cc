@@ -25,7 +25,6 @@
 #include "storage/database.h"
 #include "storage/io.h"
 #include "tc/columnar_tc.h"
-#include "tc/parallel_tc.h"
 #include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -347,61 +346,6 @@ TEST(TcGovernorTest, PartialBudgetTruncates) {
   EXPECT_TRUE(stats.truncated);
   EXPECT_LT(closure.size(), 50u * 51u / 2u);
   EXPECT_GT(closure.size(), 0u);
-}
-
-TEST(TcGovernorTest, ParallelPartialRowCapDeterministicAcrossThreads) {
-  Database db;
-  ASSERT_OK(workload::RandomDigraph(40, 120, 7, &db));
-  const Relation& edges = *db.Find("edge");
-  Relation results[2] = {Relation(2), Relation(2)};
-  const unsigned threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    gov::GovernorContext g;
-    g.budget.max_result_rows = 100;
-    g.budget.return_partial = true;
-    tc::TcStats stats;
-    ASSERT_OK_AND_ASSIGN(
-        results[i],
-        tc::ParallelTransitiveClosure(edges, threads[i], nullptr, &g,
-                                      &stats));
-    EXPECT_TRUE(stats.truncated);
-    EXPECT_EQ(results[i].size(), 100u);
-  }
-  EXPECT_EQ(results[0].rows(), results[1].rows());
-}
-
-TEST(TcGovernorTest, ParallelCancelLandsWellUnderStall) {
-  // Arm a 5-second stall on every tc.expand hit, start a parallel
-  // closure of a 200-node graph, cancel ~50 ms in: the cancel must land
-  // orders of magnitude before the stall would have drained (the
-  // acceptance bound for shell Ctrl-C latency).
-  Database db;
-  ASSERT_OK(workload::RandomDigraph(200, 800, 11, &db));
-  const Relation& edges = *db.Find("edge");
-  gov::FaultInjector fi;
-  gov::FaultSpec spec;
-  spec.action = gov::FaultAction::kStall;
-  spec.stall_ms = 5000;
-  spec.repeat = true;
-  fi.Arm("tc.expand", spec);
-  gov::GovernorContext g;
-  g.faults = &fi;
-  gov::CancellationToken token = g.token;
-
-  Status result = Status::OK();
-  const auto start = std::chrono::steady_clock::now();
-  std::thread worker([&] {
-    auto r = tc::ParallelTransitiveClosure(edges, 4, nullptr, &g);
-    result = r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  token.Cancel();
-  worker.join();
-  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-  EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
-  EXPECT_LT(elapsed_ms, 2500);  // one stall is 5000 ms; N sources stall
 }
 
 // ---------------------------------------------------------------------------

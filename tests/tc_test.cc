@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/relation.h"
-#include "tc/parallel_tc.h"
 #include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -149,27 +148,6 @@ TEST(ReachableFromTest, CycleIncludesSource) {
       Relation reach,
       ReachableFrom(edges, Value::Sym(db.Intern("n0"))));
   EXPECT_TRUE(reach.Contains(Tuple{Value::Sym(db.Intern("n0"))}));
-}
-
-TEST(ParallelTcTest, MatchesSequentialAcrossThreadCounts) {
-  for (unsigned threads : {1u, 2u, 4u}) {
-    Database db;
-    ASSERT_OK(workload::RandomDigraph(30, 80, 77, &db));
-    const Relation& edges = *db.Find("edge");
-    ASSERT_OK_AND_ASSIGN(Relation par,
-                         ParallelTransitiveClosure(edges, threads));
-    ASSERT_OK_AND_ASSIGN(Relation seq,
-                         TransitiveClosure(edges, TcAlgorithm::kBfs));
-    EXPECT_TRUE(par.SetEquals(seq)) << threads << " threads";
-  }
-}
-
-TEST(ParallelTcTest, EmptyAndWrongArity) {
-  Relation empty(2);
-  ASSERT_OK_AND_ASSIGN(Relation tc, ParallelTransitiveClosure(empty, 2));
-  EXPECT_TRUE(tc.empty());
-  Relation bad(3);
-  EXPECT_FALSE(ParallelTransitiveClosure(bad, 2).ok());
 }
 
 TEST(ReachableFromTest, UnknownSourceIsEmpty) {
