@@ -17,6 +17,14 @@ checked in) and its numbers are not being compared at all. That is its
 own failure class — distinct from a regression — so CI flags the gap
 instead of silently passing; --allow-missing downgrades it to a note.
 
+Every current report is also held to the RATIO GATES below: shape
+claims checked within that one report, as the ratio of two of its
+benchmarks' times. A ratio does not move with the machine the way an
+absolute time does, so a gate holds on any box; it runs alongside the
+absolute check, not in place of it. A gate whose benchmarks are absent
+from a report (a filtered run) is skipped with a note. A failed gate is
+a regression.
+
 Exit status: 0 = no regression, 1 = at least one regression, 2 = usage or
 schema error, 3 = missing baseline (only when no regression also fired;
 regressions take precedence).
@@ -78,6 +86,18 @@ def representative_times(rows):
 
 UNIT_NS = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
 
+# (bench, fast benchmark, slow benchmark, k): in a report of `bench`, the
+# slow benchmark's time must be at least k times the fast one's.
+RATIO_GATES = [
+    # Figure 12: with both endpoints fixed, the seeded closures of the
+    # magic-TC rewrite beat materializing the full closure. Measured
+    # 12.9-16.1x (10.1-12.5x before seeded pairs ran on the kernel) in
+    # three run_benches.sh runs on a 4-core VM, RelWithDebInfo; k = 5
+    # leaves a 2x margin under the lowest.
+    ("fig12_prototype", "BM_MagicTcStrategy/480", "BM_DatalogStrategy/480",
+     5.0),
+]
+
 
 def compare_reports(base_path, cur_path, tolerance):
     """Prints a comparison table; returns the list of regressed names."""
@@ -111,6 +131,29 @@ def compare_reports(base_path, cur_path, tolerance):
     for name in sorted(set(cur) - set(base)):
         print(f"  {name}: new (no baseline)")
     return regressed
+
+
+def check_ratio_gates(path):
+    """Checks one report against RATIO_GATES; returns the failed gates."""
+    doc, rows = load_report(path)
+    times = representative_times(rows)
+    failed = []
+    for bench, fast, slow, k in RATIO_GATES:
+        if doc.get("bench") != bench:
+            continue
+        if fast not in times or slow not in times:
+            print(f"  ratio {slow} / {fast}: skipped (not in this report)")
+            continue
+        fast_ns = times[fast][0] * UNIT_NS.get(times[fast][1], 1)
+        slow_ns = times[slow][0] * UNIT_NS.get(times[slow][1], 1)
+        ratio = slow_ns / fast_ns if fast_ns > 0 else float("inf")
+        mark = ""
+        if ratio < k:
+            mark = "  SHAPE REGRESSION"
+            failed.append(f"{slow} / {fast}")
+        print(f"  ratio {slow} / {fast}: {ratio:.2f}x "
+              f"(gate >= {k:g}x){mark}")
+    return failed
 
 
 def bench_files(directory):
@@ -159,10 +202,12 @@ def main():
     regressed = []
     for base_path, cur_path in pairs:
         regressed += compare_reports(base_path, cur_path, args.tolerance)
+        regressed += check_ratio_gates(cur_path)
 
     if regressed:
-        print(f"\n{len(regressed)} regression(s) beyond "
-              f"{args.tolerance:.0%}: {', '.join(regressed)}")
+        print(f"\n{len(regressed)} regression(s) (beyond "
+              f"{args.tolerance:.0%}, or a failed ratio gate): "
+              f"{', '.join(regressed)}")
         return 1
     if missing_baseline:
         print(f"\n{len(missing_baseline)} bench report(s) without a "

@@ -47,7 +47,7 @@ Result<Csr> BuildCsr(const Relation& rel, obs::MetricsRegistry* metrics,
   csr.ids.reserve(rows.size());
   auto intern = [&csr](const Value& v) -> uint32_t {
     auto [it, inserted] =
-        csr.ids.emplace(v, static_cast<uint32_t>(csr.values.size()));
+        csr.ids.try_emplace(v, static_cast<uint32_t>(csr.values.size()));
     if (inserted) csr.values.push_back(v);
     return it->second;
   };

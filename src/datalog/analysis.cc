@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <utility>
 
 namespace graphlog::datalog {
 
@@ -408,9 +409,11 @@ std::optional<std::vector<Symbol>> DistinctVars(const std::vector<Term>& args) {
   return vars;
 }
 
-}  // namespace
-
-Result<TcShape> MatchTcRules(const Program& prog, Symbol p) {
+/// The two rules defining `p` when they have the shape every TC pair
+/// shares: exactly two rules, no aggregates, positive atoms only, one
+/// with one subgoal (the base) and one with two (the recursive rule).
+Result<std::pair<const Rule*, const Rule*>> TcRulePair(const Program& prog,
+                                                       Symbol p) {
   std::vector<const Rule*> rules;
   for (const Rule& r : prog.rules) {
     if (r.head.predicate == p) rules.push_back(&r);
@@ -432,14 +435,20 @@ Result<TcShape> MatchTcRules(const Program& prog, Symbol p) {
   if (base == nullptr || rec == nullptr) {
     return Status::InvalidArgument("TC rules must have 1 and 2 subgoals");
   }
-  for (const Literal& l : base->body) {
-    if (!l.is_positive_atom())
-      return Status::InvalidArgument("TC subgoals must be positive atoms");
+  for (const Rule* r : {base, rec}) {
+    for (const Literal& l : r->body) {
+      if (!l.is_positive_atom())
+        return Status::InvalidArgument("TC subgoals must be positive atoms");
+    }
   }
-  for (const Literal& l : rec->body) {
-    if (!l.is_positive_atom())
-      return Status::InvalidArgument("TC subgoals must be positive atoms");
-  }
+  return std::make_pair(base, rec);
+}
+
+}  // namespace
+
+Result<TcShape> MatchTcRules(const Program& prog, Symbol p) {
+  GRAPHLOG_ASSIGN_OR_RETURN(auto pair, TcRulePair(prog, p));
+  const auto [base, rec] = pair;
 
   // Base: p(H...) :- q(H...), same distinct-variable vector.
   Symbol q = base->body[0].atom.predicate;
@@ -500,6 +509,60 @@ Result<TcShape> MatchTcRules(const Program& prog, Symbol p) {
     }
   }
   return Status::InvalidArgument("no (n, w) split matches TC shape");
+}
+
+Result<SeededTcShape> MatchSeededTcRules(const Program& prog, Symbol p) {
+  GRAPHLOG_ASSIGN_OR_RETURN(auto pair, TcRulePair(prog, p));
+  const auto [base, rec] = pair;
+  auto head_var = [](const Rule& r) -> std::optional<Symbol> {
+    auto vars = DistinctVars(r.head.ToAtom().args);
+    if (!vars || vars->size() != 1) return std::nullopt;
+    return (*vars)[0];
+  };
+  const std::optional<Symbol> v = head_var(*base);
+  const std::optional<Symbol> rv = head_var(*rec);
+  if (!v || !rv) {
+    return Status::InvalidArgument("seeded TC head must be one variable");
+  }
+
+  // Base: p(V) :- q(c, V) forward, p(V) :- q(V, c) backward.
+  const Atom& qb = base->body[0].atom;
+  if (qb.predicate == p || qb.args.size() != 2) {
+    return Status::InvalidArgument("seeded TC base must read a binary q");
+  }
+  auto is_var = [](const Term& t, Symbol x) {
+    return t.is_variable() && t.var() == x;
+  };
+  SeededTcShape shape;
+  shape.base = qb.predicate;
+  if (qb.args[0].is_constant() && is_var(qb.args[1], *v)) {
+    shape.forward = true;
+  } else if (is_var(qb.args[0], *v) && qb.args[1].is_constant()) {
+    shape.forward = false;
+  } else {
+    return Status::InvalidArgument("seeded TC base rule shape mismatch");
+  }
+  shape.seed = qb.args[shape.forward ? 0 : 1].value();
+
+  // Recursive: p(V) :- p(Z), q(Z, V) forward, p(V) :- q(V, Z), p(Z)
+  // backward; either subgoal order, Z distinct from V.
+  const Atom* qa = nullptr;
+  const Atom* pa = nullptr;
+  for (const Literal& l : rec->body) {
+    if (l.atom.predicate == p) pa = &l.atom;
+    if (l.atom.predicate == shape.base) qa = &l.atom;
+  }
+  if (qa == nullptr || pa == nullptr || qa == pa || pa->args.size() != 1 ||
+      qa->args.size() != 2 || !pa->args[0].is_variable()) {
+    return Status::InvalidArgument("seeded TC recursive rule must use q and p");
+  }
+  const Symbol z = pa->args[0].var();
+  const Term& from = qa->args[shape.forward ? 0 : 1];
+  const Term& to = qa->args[shape.forward ? 1 : 0];
+  if (z == *rv || !is_var(from, z) || !is_var(to, *rv)) {
+    return Status::InvalidArgument("seeded TC recursive rule shape mismatch");
+  }
+  return shape;
 }
 
 bool IsTcProgram(const Program& prog) {

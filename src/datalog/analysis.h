@@ -122,6 +122,22 @@ struct TcShape {
 };
 Result<TcShape> MatchTcRules(const Program& prog, Symbol p);
 
+/// \brief Recognizes the bound-source TC pair that
+/// translate::SpecializeBoundClosures emits for a unary closure (n=1,
+/// w=0), with c a constant and the variables distinct:
+///
+///   forward:   p(Y) :- q(c, Y).    p(Y) :- p(Z), q(Z, Y).
+///   backward:  p(X) :- q(X, c).    p(X) :- q(X, Z), p(Z).
+///
+/// Either subgoal order in the recursive rule. p holds the nodes reached
+/// from c (forward) or reaching c (backward) by a non-empty q-path.
+struct SeededTcShape {
+  Symbol base = kNoSymbol;  ///< the q predicate
+  Value seed;               ///< the constant c
+  bool forward = true;      ///< c is q's source (true) or target (false)
+};
+Result<SeededTcShape> MatchSeededTcRules(const Program& prog, Symbol p);
+
 /// \brief True when every recursive predicate of `prog` is defined by
 /// exactly a generalized TC-rule pair — the STC-DATALOG target fragment of
 /// Algorithm 3.1.

@@ -214,9 +214,63 @@ class Engine {
 
   /// Runs one stratum's rules to fixpoint.
   Status RunStratum(const std::vector<int>& rule_indices) {
-    // Compile this stratum's rules now: lower strata are materialized, so
-    // the cardinality oracle sees real sizes (and real column statistics)
-    // for everything below.
+    // IDB predicates defined in this stratum.
+    std::set<Symbol> local_idbs;
+    for (int i : rule_indices) {
+      local_idbs.insert(prog_.rules[i].head.predicate);
+    }
+
+    std::vector<int> aggregate_rules, normal_rules;
+    for (int i : rule_indices) {
+      if (prog_.rules[i].head.has_aggregates()) {
+        aggregate_rules.push_back(i);
+      } else {
+        normal_rules.push_back(i);
+      }
+    }
+
+    // Split normal rules into non-recursive (no local IDB in body) and
+    // recursive.
+    std::vector<int> base_rules, rec_rules;
+    for (int i : normal_rules) {
+      bool recursive = false;
+      for (const auto& l : prog_.rules[i].body) {
+        if (l.is_relational() && local_idbs.count(l.atom.predicate) > 0) {
+          recursive = true;
+          break;
+        }
+      }
+      (recursive ? rec_rules : base_rules).push_back(i);
+    }
+
+    // Closure dispatch: TC rule pairs leave the rule lists and are
+    // materialized by the columnar kernel once their base is complete.
+    std::vector<RoutedClosure> routed;
+    if (!rec_rules.empty() && ClosureDispatchAllowed(options_)) {
+      for (const ClosureDispatch& d :
+           PlanClosureDispatch(prog_, rule_indices, *db_)) {
+        RoutedClosure c;
+        c.plan = d;
+        // The rule path derives p's depth-1 pairs in the one-shot pass
+        // when q is complete before the stratum, and in round 1 when q is
+        // stratum-local. Then the depth-2 pairs land in round 1 as well
+        // if the base rule comes first (the recursive rule's later batch
+        // sees its merge); otherwise every depth lands one round later.
+        c.lag = d.base_in_stratum && d.rec_rule < d.base_rule ? 1 : 0;
+        routed.push_back(std::move(c));
+      }
+    }
+    auto is_routed = [&](int i) {
+      for (const RoutedClosure& c : routed) {
+        if (i == c.plan.base_rule || i == c.plan.rec_rule) return true;
+      }
+      return false;
+    };
+
+    // Compile this stratum's other rules now: lower strata are
+    // materialized, so the cardinality oracle sees real sizes (and real
+    // column statistics) for everything below. Routed rules never run,
+    // so they are not planned (that would compute q's statistics).
     CardinalityFn card;
     if (options_.cardinality_join_ordering) {
       card = MakeDbCardinality(db_);
@@ -228,6 +282,13 @@ class Engine {
       est = card ? card : MakeDbCardinality(db_);
     }
     for (int i : rule_indices) {
+      if (is_routed(i)) {
+        if (options_.profile != nullptr) {
+          options_.profile->rules[i].rule =
+              prog_.rules[i].ToString(db_->symbols());
+        }
+        continue;
+      }
       GRAPHLOG_ASSIGN_OR_RETURN(
           CompiledRule c,
           CompiledRule::Compile(prog_.rules[i], db_->symbols(), card));
@@ -258,21 +319,6 @@ class Engine {
       }
     }
 
-    // IDB predicates defined in this stratum.
-    std::set<Symbol> local_idbs;
-    for (int i : rule_indices) {
-      local_idbs.insert(prog_.rules[i].head.predicate);
-    }
-
-    std::vector<int> aggregate_rules, normal_rules;
-    for (int i : rule_indices) {
-      if (prog_.rules[i].head.has_aggregates()) {
-        aggregate_rules.push_back(i);
-      } else {
-        normal_rules.push_back(i);
-      }
-    }
-
     // Aggregate rules first: stratification guarantees their bodies read
     // lower strata only, so one pass is complete.
     const uint64_t seed_firings_before = stats_.rule_firings;
@@ -281,65 +327,35 @@ class Engine {
       GRAPHLOG_RETURN_NOT_OK(RunAggregateRule(i));
     }
 
-    // Split normal rules into non-recursive (no local IDB in body) and
-    // recursive.
-    std::vector<int> base_rules, rec_rules;
-    for (int i : normal_rules) {
-      bool recursive = false;
-      for (const auto& l : prog_.rules[i].body) {
-        if (l.is_relational() && local_idbs.count(l.atom.predicate) > 0) {
-          recursive = true;
-          break;
-        }
-      }
-      (recursive ? rec_rules : base_rules).push_back(i);
-    }
-
-    // Closure dispatch: TC rule pairs leave the rule lists and are
-    // materialized by the columnar kernel once their base is complete.
     const bool seed_round = !aggregate_rules.empty() || !base_rules.empty();
-    std::vector<RoutedClosure> routed;
-    if (!rec_rules.empty() && ClosureDispatchAllowed(options_)) {
-      for (const ClosureDispatch& d :
-           PlanClosureDispatch(prog_, rule_indices, *db_)) {
-        RoutedClosure c;
-        c.plan = d;
-        // The rule path derives p's depth-1 pairs in the one-shot pass
-        // when q is complete before the stratum, and in round 1 when q is
-        // stratum-local. Then the depth-2 pairs land in round 1 as well
-        // if the base rule comes first (the recursive rule's later batch
-        // sees its merge); otherwise every depth lands one round later.
-        c.lag = d.base_in_stratum && d.rec_rule < d.base_rule ? 1 : 0;
-        routed.push_back(std::move(c));
+    std::erase_if(base_rules, is_routed);
+    std::erase_if(rec_rules, is_routed);
+    for (const RoutedClosure& c : routed) {
+      const std::string route = c.plan.ToString(db_->symbols());
+      if (options_.tracer != nullptr) {
+        options_.tracer->AddNote(
+            "closure " + db_->symbols().name(c.plan.pred), route);
       }
-      auto is_routed = [&](int i) {
-        for (const RoutedClosure& c : routed) {
-          if (i == c.plan.base_rule || i == c.plan.rec_rule) return true;
-        }
-        return false;
-      };
-      std::erase_if(base_rules, is_routed);
-      std::erase_if(rec_rules, is_routed);
-      for (const RoutedClosure& c : routed) {
-        const std::string route = c.plan.ToString(db_->symbols());
-        if (options_.tracer != nullptr) {
-          options_.tracer->AddNote(
-              "closure " + db_->symbols().name(c.plan.pred), route);
-        }
-        if (options_.profile != nullptr) {
-          // One step per rule: the BFS's adjacency probes of q, wave 1
-          // from every source, later waves from every reached node.
-          const std::string q = db_->symbols().name(c.plan.base);
-          const uint64_t fanout = est(c.plan.base, {0});
-          for (int i : {c.plan.base_rule, c.plan.rec_rule}) {
-            obs::RuleProfile& rp = options_.profile->rules[i];
-            rp.plan = route;
-            rp.steps.assign(1, obs::StepProfile{});
-            rp.steps[0].op = i == c.plan.base_rule
-                                 ? "expand " + q + "(0) from each source"
-                                 : "expand " + q + "(0) from each reached node";
-            rp.steps[0].estimated_rows = fanout;
+      if (options_.profile != nullptr) {
+        // One step per rule: the BFS's adjacency probes of q (on its
+        // target column for a backward seed), wave 1 from every source
+        // or the seed, later waves from every reached node.
+        const std::optional<tc::ClosureSeed>& seed = c.plan.seed;
+        const uint32_t col = seed.has_value() && !seed->forward ? 1 : 0;
+        const std::string q = db_->symbols().name(c.plan.base) + "(" +
+                              std::to_string(col) + ")";
+        const uint64_t fanout = est(c.plan.base, {col});
+        for (int i : {c.plan.base_rule, c.plan.rec_rule}) {
+          obs::RuleProfile& rp = options_.profile->rules[i];
+          rp.plan = route;
+          rp.steps.assign(1, obs::StepProfile{});
+          std::string from = "each reached node";
+          if (i == c.plan.base_rule) {
+            from = seed.has_value() ? seed->value.ToString(db_->symbols())
+                                    : "each source";
           }
+          rp.steps[0].op = "expand " + q + " from " + from;
+          rp.steps[0].estimated_rows = fanout;
         }
       }
     }
@@ -383,10 +399,13 @@ class Engine {
     size_t emitted = 0;
   };
 
-  /// Runs the closure kernel over p's base on the engine's pool and
-  /// bulk-loads the result into p's (empty) relation. p's dedup set stays
-  /// unbuilt until something needs it: lanes only test membership in
-  /// task heads, which RunTaskBatch syncs before fanning out.
+  /// Runs the closure kernel over p's base on the engine's pool. A full
+  /// closure is bulk-loaded into p's (empty) relation here; a seeded one
+  /// is loaded depth by depth as EmitDepths replays the round log, so p
+  /// holds at every round boundary what the rule path holds. p's dedup
+  /// set stays unbuilt until something needs it: lanes only test
+  /// membership in task heads, which RunTaskBatch syncs before fanning
+  /// out.
   Status RunClosureKernel(RoutedClosure* c) {
     const SymbolTable& syms = db_->symbols();
     obs::SpanGuard span(options_.tracer, "tc.kernel");
@@ -394,6 +413,7 @@ class Engine {
     tc::ClosureOptions ko;
     ko.metrics = options_.metrics;
     ko.governor = options_.governor;
+    ko.seed = c->plan.seed;
     // Bases this program derives are rebuilt every run; caching their
     // snapshots would only pin memory.
     ko.cache = baseline_.count(c->plan.base) > 0 ? nullptr : csr_cache_;
@@ -405,14 +425,18 @@ class Engine {
     // The CSR stands in for the hash index the recursive rule's probe of
     // q would have built.
     if (c->closure.built_csr) ++kernel_index_builds_;
-    Relation* out = db_->FindMutable(c->plan.pred);
-    c->closure.AppendTo(out);
-    // Only the wave-ordered lists are replayed from here on.
-    std::vector<std::vector<uint32_t>>().swap(c->closure.reach);
+    if (!c->plan.seed.has_value()) {
+      c->closure.AppendTo(db_->FindMutable(c->plan.pred));
+      // Only the wave-ordered lists are replayed from here on.
+      std::vector<std::vector<uint32_t>>().swap(c->closure.reach);
+    }
     if (span.enabled()) {
       span.AddNote("route", c->plan.ToString(syms));
-      span.AddAttr("sources",
-                   static_cast<int64_t>(c->closure.csr->num_nodes()));
+      if (c->plan.seed.has_value()) {
+        span.AddNote("direction",
+                     c->plan.seed->forward ? "forward" : "backward");
+      }
+      span.AddAttr("sources", static_cast<int64_t>(c->closure.sources()));
       span.AddAttr("pairs", static_cast<int64_t>(c->closure.pairs));
       span.AddAttr("waves", static_cast<int64_t>(c->closure.waves.size()));
     }
@@ -426,11 +450,16 @@ class Engine {
   /// Accounts the closure's depths up to `through` as the rule path
   /// would: the pairs count as derived, the wave's edge expansions as
   /// rule firings (and in the two rules' profiles), and the pairs
-  /// themselves go to `next` (the round's new delta) when given.
+  /// themselves go to `next` (the round's new delta) when given, and to
+  /// p's relation for a seeded closure.
   void EmitDepths(RoutedClosure* c, size_t through, Relation* next) {
     const tc::TcWaves& w = c->closure.waves;
+    Relation* full = c->plan.seed.has_value()
+                         ? db_->FindMutable(c->plan.pred)
+                         : nullptr;
     for (size_t d = c->emitted + 1; d <= through; ++d) {
       if (d > w.size()) break;
+      if (full != nullptr) c->closure.AppendDepth(d, full);
       if (next != nullptr) c->closure.AppendDepth(d, next);
       const uint64_t exp = w.expansions[d - 1];
       const uint64_t reached = w.reached[d - 1];
@@ -446,8 +475,8 @@ class Engine {
         rp.dup_in_round += exp - revisits - reached;
         // Wave d expands every node first reached at depth d - 1 (wave
         // 1: every source), each through one CSR adjacency span.
-        const uint64_t probes = d == 1 ? c->closure.csr->num_nodes()
-                                       : w.reached[d - 2];
+        const uint64_t probes =
+            d == 1 ? c->closure.sources() : w.reached[d - 2];
         obs::StepProfile& step = rp.steps[0];
         step.invocations += probes;
         step.csr_invocations += probes;
@@ -1204,7 +1233,12 @@ class Engine {
 }  // namespace
 
 std::string ClosureDispatch::ToString(const SymbolTable& syms) const {
-  return "closure kernel: " + syms.name(pred) + " over " + syms.name(base);
+  std::string out =
+      "closure kernel: " + syms.name(pred) + " over " + syms.name(base);
+  if (seed.has_value()) {
+    out += (seed->forward ? " from " : " to ") + seed->value.ToString(syms);
+  }
+  return out;
 }
 
 bool ClosureDispatchAllowed(const EvalOptions& options) {
@@ -1232,32 +1266,47 @@ std::vector<ClosureDispatch> PlanClosureDispatch(
   for (int i : rules) {
     const Symbol p = prog.rules[i].head.predicate;
     if (!tried.insert(p).second) continue;
-    auto shape = datalog::MatchTcRules(prog, p);
-    if (!shape.ok() || shape->n != 1 || shape->w != 0) continue;
-    const Relation* rel = db.Find(p);
-    if (rel != nullptr && !rel->empty()) continue;
     ClosureDispatch d;
     d.pred = p;
-    d.base = shape->base;
+    if (auto shape = datalog::MatchTcRules(prog, p);
+        shape.ok() && shape->n == 1 && shape->w == 0) {
+      d.base = shape->base;
+    } else if (auto seeded = datalog::MatchSeededTcRules(prog, p);
+               seeded.ok()) {
+      d.base = seeded->base;
+      d.seed = tc::ClosureSeed{seeded->seed, seeded->forward};
+    } else {
+      continue;
+    }
+    const Relation* rel = db.Find(p);
+    if (rel != nullptr && !rel->empty()) continue;
     d.base_in_stratum = local.count(d.base) > 0;
     const Relation* base = db.Find(d.base);
     if (base != nullptr && base->arity() != 2) continue;
+    // Position in `rules` of p's first rule: the rule path's round runs
+    // rules in this order.
+    size_t first_rule = rules.size();
+    for (size_t k = 0; k < rules.size(); ++k) {
+      const int j = rules[k];
+      if (prog.rules[j].head.predicate != p) continue;
+      first_rule = std::min(first_rule, k);
+      // MatchTcRules: the base rule has one subgoal, the recursive two.
+      (prog.rules[j].body.size() == 1 ? d.base_rule : d.rec_rule) = j;
+    }
     bool ok = true;
-    for (int j : rules) {
+    for (size_t k = 0; k < rules.size() && ok; ++k) {
+      const int j = rules[k];
       const Symbol h = prog.rules[j].head.predicate;
+      if (h == p) continue;
       const std::vector<Symbol> reads = local_subgoals(j);
-      if (h == p) {
-        // MatchTcRules: the base rule has one subgoal, the recursive two.
-        (prog.rules[j].body.size() == 1 ? d.base_rule : d.rec_rule) = j;
-        continue;
-      }
       const bool reads_p = std::count(reads.begin(), reads.end(), p) > 0;
-      // The base must be complete once the one-shot pass has run; any
-      // other reader of p must see nothing but p's delta.
-      if ((h == d.base && !reads.empty()) || (reads_p && reads.size() != 1)) {
-        ok = false;
-        break;
-      }
+      // The base must be complete once the one-shot pass has run. Any
+      // other reader of p must see nothing but p's delta, or, for a
+      // seeded p (loaded round by round), run before p's rules in the
+      // round, so it reads p as of the previous round's end.
+      const bool reads_p_in_full = reads_p && reads.size() != 1;
+      ok = !(h == d.base && !reads.empty()) &&
+           !(reads_p_in_full && !(d.seed.has_value() && k < first_rule));
     }
     if (ok) out.push_back(d);
   }

@@ -12,12 +12,14 @@
 #define GRAPHLOG_EVAL_ENGINE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "datalog/ast.h"
 #include "storage/database.h"
+#include "tc/columnar_tc.h"
 
 namespace graphlog::obs {
 class Tracer;           // obs/trace.h
@@ -178,8 +180,12 @@ struct ClosureDispatch {
   /// True when q is defined in p's own stratum (by non-recursive rules
   /// only, so it is complete after the stratum's one-shot pass).
   bool base_in_stratum = false;
+  /// Set for a bound-source pair (datalog::MatchSeededTcRules): p is the
+  /// unary set of nodes reached from the seed, or reaching it.
+  std::optional<tc::ClosureSeed> seed;
 
-  /// \brief The route as EXPLAIN names it: "closure kernel: p over q".
+  /// \brief The route as EXPLAIN names it: "closure kernel: p over q",
+  /// plus " from c" or " to c" for a seeded pair.
   std::string ToString(const SymbolTable& syms) const;
 };
 
@@ -191,13 +197,16 @@ bool ClosureDispatchAllowed(const EvalOptions& options);
 /// \brief The predicates of one stratum (`rules`: its rule indices in
 /// `prog`) that the engine dispatches to the closure kernel, in rule
 /// order. A predicate qualifies when datalog::MatchTcRules accepts it
-/// with n=1, w=0; its relation in `db` is absent or empty; its base is
-/// binary and complete before the stratum's fixpoint (an EDB, a lower
-/// stratum, or a stratum-local predicate with only non-recursive rules);
-/// and every other rule of the stratum reading it has no other
-/// stratum-local subgoal, so it only ever reads the closure's per-round
-/// delta. Under those conditions the dispatched stratum reproduces the
-/// rule path's rounds exactly (iterations, per-round derived rows).
+/// with n=1, w=0, or datalog::MatchSeededTcRules does; its relation in
+/// `db` is absent or empty; its base is binary and complete before the
+/// stratum's fixpoint (an EDB, a lower stratum, or a stratum-local
+/// predicate with only non-recursive rules); and every other rule of the
+/// stratum reading it has no other stratum-local subgoal, so it only
+/// ever reads the closure's per-round delta. A seeded closure, loaded
+/// round by round, may also be read in full by rules that come before
+/// its pair in `rules`. Under those conditions the dispatched stratum
+/// reproduces the rule path's rounds exactly (iterations, per-round
+/// derived rows).
 std::vector<ClosureDispatch> PlanClosureDispatch(
     const datalog::Program& prog, const std::vector<int>& rules,
     const storage::Database& db);

@@ -37,6 +37,10 @@ void Bump(std::vector<uint64_t>* v, size_t k, uint64_t by) {
 
 void ColumnarClosure::AppendTo(Relation* out) const {
   out->Reserve(out->size() + pairs);
+  if (seed.has_value()) {
+    for (uint32_t v : by_wave[0]) out->AppendUnique(Tuple{csr->values[v]});
+    return;
+  }
   for (uint32_t s = 0; s < reach.size(); ++s) {
     const Value& vs = csr->values[s];
     for (uint32_t v : reach[s]) out->AppendUnique(Tuple{vs, csr->values[v]});
@@ -51,9 +55,10 @@ uint64_t ColumnarClosure::AppendDepth(size_t depth, Relation* out) const {
     const std::vector<uint32_t>& ends = wave_ends[s];
     if (ends.size() < depth) continue;
     const uint32_t begin = depth == 1 ? 0 : ends[depth - 2];
-    const Value& vs = csr->values[s];
     for (uint32_t i = begin; i < ends[depth - 1]; ++i) {
-      out->AppendUnique(Tuple{vs, csr->values[by_wave[s][i]]});
+      const Value& v = csr->values[by_wave[s][i]];
+      out->AppendUnique(seed.has_value() ? Tuple{v}
+                                         : Tuple{csr->values[s], v});
       ++n;
     }
   }
@@ -80,6 +85,16 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
   }
   const Csr& csr = *out.csr;
   const uint32_t n = csr.num_nodes();
+  // Source slots: every node, or the seed alone (no slot source when the
+  // seed occurs in no edge).
+  out.seed = options.seed;
+  const size_t slots = out.seed.has_value() ? 1 : n;
+  int64_t seed_id = -1;
+  if (out.seed.has_value()) seed_id = csr.IdOf(out.seed->value);
+  const bool backward = out.seed.has_value() && !out.seed->forward;
+  auto expand = [&csr, backward](uint32_t u) {
+    return backward ? csr.Rev(u) : csr.Sorted(u);
+  };
 
   // Governed fan-out: one BFS per source, first failing source (in
   // source order) wins, lanes drain once the stop flag is up, token
@@ -87,7 +102,7 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
   std::atomic<bool> stop{false};
   std::mutex err_mu;
   Status lane_error = Status::OK();
-  size_t err_src = n;
+  size_t err_src = slots;
   auto record_error = [&](size_t s, Status st) {
     std::lock_guard<std::mutex> lock(err_mu);
     if (s < err_src) {
@@ -98,16 +113,17 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
   };
   const std::atomic<bool>* cancel =
       governor != nullptr ? governor->token.flag() : nullptr;
-  out.reach.resize(n);
-  out.by_wave.resize(n);
-  out.wave_ends.resize(n);
+  if (!out.seed.has_value()) out.reach.resize(n);
+  out.by_wave.resize(slots);
+  out.wave_ends.resize(slots);
   // Per-worker scratch bitsets (reused across sources) and per-worker
   // wave histograms, summed after the join.
   struct Scratch {
     Bitset visited, frontier, next;
     TcWaves waves;
   };
-  std::vector<Scratch> scratch(pool != nullptr ? pool->parallelism() : 1);
+  std::vector<Scratch> scratch(
+      pool != nullptr && slots > 1 ? pool->parallelism() : 1);
   for (Scratch& sc : scratch) {
     sc.visited.ResetTo(n);
     sc.frontier.ResetTo(n);
@@ -123,12 +139,15 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
         return;
       }
     }
+    const int64_t source =
+        out.seed.has_value() ? seed_id : static_cast<int64_t>(s);
+    if (source < 0) return;
     Scratch& sc = scratch[wid];
     sc.visited.Reset();
     sc.frontier.Reset();
     // Wave 1 expands the source's own edges onto an empty visited set.
     uint64_t wave_exp = 0, wave_rev = 0;
-    for (uint32_t v : csr.Sorted(static_cast<uint32_t>(s))) {
+    for (uint32_t v : expand(static_cast<uint32_t>(source))) {
       sc.frontier.Set(v);
       ++wave_exp;
     }
@@ -158,7 +177,7 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
           aborted = true;
           return;
         }
-        for (uint32_t v : csr.Sorted(u)) {
+        for (uint32_t v : expand(u)) {
           ++wave_exp;
           if (sc.visited.Test(v)) ++wave_rev;
           sc.next.Set(v);
@@ -167,25 +186,27 @@ Result<ColumnarClosure> ComputeColumnarClosure(const Relation& edges,
       if (aborted) return;
       std::swap(sc.frontier, sc.next);
     }
+    if (out.seed.has_value()) return;
     std::vector<uint32_t>& local = out.reach[s];
     local.reserve(sc.visited.Count());
     sc.visited.ForEachSet([&](uint32_t v) { local.push_back(v); });
   };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, bfs, governor != nullptr ? &stop : nullptr);
+  if (pool != nullptr && slots > 1) {
+    pool->ParallelFor(slots, bfs, governor != nullptr ? &stop : nullptr);
   } else {
-    for (size_t s = 0; s < n && !stop.load(std::memory_order_relaxed); ++s) {
+    for (size_t s = 0; s < slots && !stop.load(std::memory_order_relaxed);
+         ++s) {
       bfs(0, s);
     }
   }
-  if (err_src < n) return lane_error;
+  if (err_src < slots) return lane_error;
 
   for (const Scratch& sc : scratch) {
     AddInto(&out.waves.reached, sc.waves.reached);
     AddInto(&out.waves.expansions, sc.waves.expansions);
     AddInto(&out.waves.revisits, sc.waves.revisits);
   }
-  for (const auto& local : out.reach) out.pairs += local.size();
+  for (uint64_t reached : out.waves.reached) out.pairs += reached;
   if (options.metrics != nullptr) {
     options.metrics->counter("tc.invocations")->Increment();
     options.metrics->counter("tc.pair_visits")->Add(out.pairs);

@@ -1,11 +1,13 @@
 // Columnar transitive closure: per-source BFS over CSR adjacency with
 // bitset frontiers (columnar/bitset.h), the closure kernel of the engine
-// (eval/engine.cc dispatches λ's TC strata here) and of the columnar
-// path. One BFS per source, fanned across a thread pool; per-source
-// results are merged in source order, so output contents and insertion
-// order are identical for every thread count. The expansion is
-// word-at-a-time (frontier &~ visited, or-scan of sorted spans) and the
-// merge bulk-loads via Relation::AppendUnique, skipping the per-row
+// (eval/engine.cc dispatches λ's TC strata and bound-source pairs here)
+// and of the columnar path. One BFS per source, fanned across a thread
+// pool; per-source results are merged in source order, so output
+// contents and insertion order are identical for every thread count. A
+// seeded run (ClosureOptions::seed) is the same BFS from one source: the
+// set reached from a fixed endpoint, or reaching it. The expansion is
+// word-at-a-time (frontier &~ visited, or-scan of adjacency spans) and
+// the merge bulk-loads via Relation::AppendUnique, skipping the per-row
 // dedup hashing: each (source, reached) pair is emitted exactly once by
 // construction.
 
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -54,13 +57,27 @@ struct TcWaves {
   size_t size() const { return expansions.size(); }
 };
 
+/// \brief The fixed endpoint of a seeded closure. Forward, the run
+/// reaches every y with value ->+ y over the edges (the pair
+/// `p(Y) :- q(c, Y). p(Y) :- p(Z), q(Z, Y).`); backward, every x with
+/// x ->+ value (`p(X) :- q(X, c). p(X) :- q(X, Z), p(Z).`).
+struct ClosureSeed {
+  Value value;
+  bool forward = true;
+};
+
 /// \brief A closure computed per source and not yet materialized.
 struct ColumnarClosure {
   std::shared_ptr<const columnar::Csr> csr;
-  /// Per source (dense id): reached nodes in ascending dense id.
+  /// Set for a seeded run: its one source slot is the seed, empty when
+  /// the seed occurs in no edge, and its rows are the unary reached
+  /// column.
+  std::optional<ClosureSeed> seed;
+  /// Per source (dense id): reached nodes in ascending dense id. Left
+  /// empty by a seeded run, whose order is by_wave's.
   std::vector<std::vector<uint32_t>> reach;
-  /// Per source: reached nodes in wave order (ascending within a wave),
-  /// and the end offset of each wave's run in that list.
+  /// Per source slot: reached nodes in wave order (ascending within a
+  /// wave), and the end offset of each wave's run in that list.
   std::vector<std::vector<uint32_t>> by_wave;
   std::vector<std::vector<uint32_t>> wave_ends;
   TcWaves waves;
@@ -68,11 +85,15 @@ struct ColumnarClosure {
   /// False when the CSR snapshot came from ClosureOptions::cache.
   bool built_csr = true;
 
-  /// \brief Appends every pair to `out` in (source first-appearance
-  /// order, reached dense id) order via AppendUnique. `out` must not
-  /// already hold any of the pairs.
+  /// \brief Number of source slots: every node, or 1 for a seeded run.
+  size_t sources() const { return by_wave.size(); }
+
+  /// \brief Appends every pair to `out` via AppendUnique, in (source
+  /// first-appearance order, reached dense id) order; a seeded run
+  /// appends its reached nodes as unary rows in (depth, dense id) order.
+  /// `out` must not already hold any of the rows.
   void AppendTo(storage::Relation* out) const;
-  /// \brief Appends the pairs first reached at BFS depth `depth`
+  /// \brief Appends the rows first reached at BFS depth `depth`
   /// (1-based) in (source, reached dense id) order. Returns the number
   /// appended.
   uint64_t AppendDepth(size_t depth, storage::Relation* out) const;
@@ -84,15 +105,20 @@ struct ClosureOptions {
   const gov::GovernorContext* governor = nullptr;
   /// Reuses/stores the CSR snapshot of the edges (nullable).
   columnar::CsrCache* cache = nullptr;
+  /// When set, one BFS from the seed's dense id instead of one per node:
+  /// over Csr::Sorted spans forward, over Csr::Rev spans backward.
+  std::optional<ClosureSeed> seed;
 };
 
 /// \brief The BFS core: closure of binary `edges` on `pool` (null = run
-/// inline on the caller). Governance: the `csr.build` point gates the
-/// CSR construction, every source claimed is a pool task and checks
-/// `pool.task` then `tc.expand`, and the cancellation token is polled every
-/// ~1k node expansions inside a source's BFS. The first failing source
-/// in source order wins, so the surfaced error is independent of lane
-/// scheduling. Budgets are the caller's business.
+/// inline on the caller), or with `options.seed` the seed's single-source
+/// reach (a seed absent from `edges` reaches nothing). Governance: the
+/// `csr.build` point gates the CSR construction, every source claimed is
+/// a pool task and checks `pool.task` then `tc.expand`, and the
+/// cancellation token is polled every ~1k node expansions inside a
+/// source's BFS. The first failing source in source order wins, so the
+/// surfaced error is independent of lane scheduling. Budgets are the
+/// caller's business.
 Result<ColumnarClosure> ComputeColumnarClosure(const storage::Relation& edges,
                                                exec::ThreadPool* pool,
                                                const ClosureOptions& options);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gov/governor.h"
+#include "tc/columnar_tc.h"
 
 namespace graphlog::tc {
 
@@ -277,29 +278,12 @@ Result<Relation> TransitiveClosure(const Relation& edges,
 }
 
 Result<Relation> ReachableFrom(const Relation& edges, const Value& source) {
-  if (edges.arity() != 2) {
-    return Status::InvalidArgument(
-        "transitive closure requires a binary relation");
-  }
-  Adjacency adj = Adjacency::Build(edges);
+  ClosureOptions options;
+  options.seed = ClosureSeed{source, /*forward=*/true};
+  GRAPHLOG_ASSIGN_OR_RETURN(ColumnarClosure closure,
+                            ComputeColumnarClosure(edges, nullptr, options));
   Relation out(1);
-  auto it = adj.ids.find(source);
-  if (it == adj.ids.end()) return out;
-  std::vector<uint32_t> stack{it->second};
-  // The source itself is reachable only via a non-empty path (positive
-  // closure); do not pre-mark it.
-  std::vector<bool> emitted(adj.values.size());
-  while (!stack.empty()) {
-    uint32_t u = stack.back();
-    stack.pop_back();
-    for (uint32_t v : adj.out[u]) {
-      if (!emitted[v]) {
-        emitted[v] = true;
-        out.Insert(Tuple{adj.values[v]});
-        stack.push_back(v);
-      }
-    }
-  }
+  closure.AppendTo(&out);
   return out;
 }
 

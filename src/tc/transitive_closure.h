@@ -75,8 +75,10 @@ Result<storage::Relation> TransitiveClosure(
     obs::MetricsRegistry* metrics = nullptr,
     const gov::GovernorContext* governor = nullptr);
 
-/// \brief Closure of a single source: all y with source ->+ y. Linear-time
-/// BFS; the right tool when one endpoint is fixed (the Figure 12 query).
+/// \brief Closure of a single source: all y with source ->+ y, in (BFS
+/// depth, dense id) order. A thin wrapper over the columnar kernel's
+/// seeded run (columnar_tc.h), the engine's route when one endpoint is
+/// fixed (the Figure 12 query).
 Result<storage::Relation> ReachableFrom(const storage::Relation& edges,
                                         const Value& source);
 

@@ -1,6 +1,7 @@
-// Closure dispatch: the engine materializes λ's TC rule pairs with the
-// columnar kernel (eval::PlanClosureDispatch) and replays the rule path's
-// round log from the kernel's per-wave histogram.
+// Closure dispatch: the engine materializes λ's TC rule pairs, and the
+// bound-source (seeded) pairs of the magic-TC rewrite, with the columnar
+// kernel (eval::PlanClosureDispatch) and replays the rule path's round
+// log from the kernel's per-wave histogram.
 //
 // The differential half checks the dispatched route against the rule
 // path on random graphs — self-loops, cycles, isolated nodes, empty and
@@ -14,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "columnar/csr_cache.h"
@@ -70,6 +73,9 @@ struct Case {
   /// rule path itself; for those programs the iteration oracle is the
   /// semi-naive rule path alone.
   bool naive_rounds_differ = false;
+  /// Seeded cases: a route EXPLAIN must name. GraphLog cases run with
+  /// bound-closure specialization, which produces the seeded pairs.
+  const char* seeded_route = nullptr;
 };
 
 const Case kCases[] = {
@@ -102,6 +108,66 @@ const Case kCases[] = {
      "c(X, Y) :- m(X, Y).\n"
      "m(X, Y) :- a(X, Y).\n"
      "m(X, Y) :- b(X, Y).\n"},
+};
+
+// Bound-source closures (translate::SpecializeBoundClosures, or written
+// out in Datalog). Node n1 is a string in the string and mixed graphs,
+// n0 only in the string graphs, and int 0 only in the int and mixed
+// ones, so each seed is absent from q in some graphs; odd seeds put n0,
+// n1 and int 0 on a cycle.
+const Case kSeededCases[] = {
+    {"bound_forward", QueryRequest::Language::kGraphLog,
+     "query h { edge \"n1\" -> Y : edge+; distinguished \"n1\" -> Y : h; }",
+     false, "over edge from n1"},
+    {"bound_backward", QueryRequest::Language::kGraphLog,
+     "query h { edge X -> \"n1\" : edge+; distinguished X -> \"n1\" : h; }",
+     false, "over edge to n1"},
+    {"int_forward", QueryRequest::Language::kDatalog,
+     "p(Y) :- edge(0, Y).\n"
+     "p(Y) :- p(Z), edge(Z, Y).\n"
+     "ans(X, Y) :- p(Y), a(X, Y).\n",
+     /*naive_rounds_differ=*/true, "closure kernel: p over edge from 0"},
+    // Recursive rule first, subgoals in the other order.
+    {"int_backward", QueryRequest::Language::kDatalog,
+     "p(X) :- p(Z), edge(X, Z).\n"
+     "p(X) :- edge(X, 0).\n",
+     false, "closure kernel: p over edge to 0"},
+    {"two_bound_uses", QueryRequest::Language::kGraphLog,
+     "query h { edge \"n0\" -> Y : edge+; edge \"n1\" -> Y : edge+; "
+     "distinguished \"n0\" -> Y : h; }",
+     false, "over edge from n0"},
+    // Two seeds of one closure, read together by a rule that precedes
+    // both pairs (so it sees each as of the previous round's end).
+    {"two_seeds_one_closure", QueryRequest::Language::kDatalog,
+     "both(Y) :- f(Y), g(Y).\n"
+     "f(Y) :- edge(n1, Y).\n"
+     "f(Y) :- f(Z), edge(Z, Y).\n"
+     "g(Y) :- edge(0, Y).\n"
+     "g(Y) :- g(Z), edge(Z, Y).\n",
+     false, "closure kernel: g over edge from 0"},
+    // Figure 12's RT-scale shape: one closure, a forward and a backward
+    // seed.
+    {"rt_scale", QueryRequest::Language::kGraphLog,
+     "query rt { edge \"n1\" -> C : edge+; edge C -> \"n0\" : edge+; "
+     "distinguished C -> C : rt; }",
+     false, "over edge to n0"},
+    {"idb_base_bound", QueryRequest::Language::kGraphLog,
+     "query air { edge \"n1\" -> Y : (a | b)+; "
+     "distinguished \"n1\" -> Y : air; }",
+     false, "from n1"},
+    // Base defined in the seeded pair's own stratum, base rule first ...
+    {"stratum_base_seeded", QueryRequest::Language::kDatalog,
+     "m(X, Y) :- a(X, Y).\n"
+     "m(X, Y) :- b(X, Y).\n"
+     "p(Y) :- m(n1, Y).\n"
+     "p(Y) :- p(Z), m(Z, Y).\n",
+     false, "closure kernel: p over m from n1"},
+    // ... and recursive rule first.
+    {"stratum_base_seeded_rec_first", QueryRequest::Language::kDatalog,
+     "p(X) :- m(X, Z), p(Z).\n"
+     "p(X) :- m(X, n1).\n"
+     "m(X, Y) :- a(X, Z), b(Z, Y).\n",
+     false, "closure kernel: p over m to n1"},
 };
 
 /// Node `i` of a seeded graph: ints, strings, or both mixed.
@@ -173,14 +239,18 @@ struct Outcome {
 
 enum class Route { kNaive, kSemiNaiveRules, kDispatch };
 
-Outcome RunCase(const Case& c, uint64_t seed, Route route, unsigned threads,
-                bool columnar) {
+using GraphBuilder = std::function<void(Database*)>;
+
+Outcome RunOn(const Case& c, const GraphBuilder& build, Route route,
+              unsigned threads, bool columnar) {
   Database db;
-  BuildGraph(seed, &db);
+  build(&db);
   columnar::CsrCache csrs;
   QueryRequest req;
   req.language = c.language;
   req.text = c.text;
+  req.options.translation.specialize_bound_closures =
+      c.seeded_route != nullptr;
   eval::EvalOptions& eo = req.options.eval;
   eo.strategy = route == Route::kNaive ? eval::Strategy::kNaive
                                        : eval::Strategy::kSemiNaive;
@@ -216,51 +286,152 @@ Outcome RunCase(const Case& c, uint64_t seed, Route route, unsigned threads,
   return out;
 }
 
+GraphBuilder RandomGraph(uint64_t seed) {
+  return [seed](Database* db) { BuildGraph(seed, db); };
+}
+
+/// The dispatched route against kNaive and the semi-naive rule path on
+/// the graph `build` makes, for threads {1, 4} x columnar {off, on}.
+void ExpectMatchesRulePath(const Case& c, const GraphBuilder& build) {
+  const Outcome naive = RunOn(c, build, Route::kNaive, 1, false);
+  const Outcome rules = RunOn(c, build, Route::kSemiNaiveRules, 1, false);
+  ASSERT_TRUE(naive.ok) << naive.error;
+  ASSERT_TRUE(rules.ok) << rules.error;
+  EXPECT_EQ(rules.explain.find("closure kernel"), std::string::npos);
+  const Outcome* first = nullptr;
+  Outcome reference;
+  for (unsigned threads : {1u, 4u}) {
+    for (bool columnar : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " columnar " +
+                   std::to_string(columnar));
+      Outcome d = RunOn(c, build, Route::kDispatch, threads, columnar);
+      ASSERT_TRUE(d.ok) << d.error;
+      EXPECT_NE(d.explain.find("closure kernel: "), std::string::npos)
+          << d.explain;
+      if (c.seeded_route != nullptr) {
+        EXPECT_NE(d.explain.find(c.seeded_route), std::string::npos)
+            << d.explain;
+      }
+      EXPECT_EQ(d.relations, naive.relations);
+      EXPECT_EQ(d.tuples_derived, naive.tuples_derived);
+      if (!c.naive_rounds_differ) {
+        EXPECT_EQ(d.iterations, naive.iterations);
+      }
+      EXPECT_EQ(d.iterations, rules.iterations);
+      // The replayed round log: every round's delta and derived rows,
+      // exactly as the rule path logs them.
+      EXPECT_EQ(d.rounds, rules.rounds);
+      EXPECT_EQ(d.round_firings, d.rule_firings);
+      EXPECT_EQ(d.round_derived, d.tuples_derived);
+      // Insertion order is a contract within the route: identical
+      // across thread counts and columnar on/off.
+      if (first == nullptr) {
+        reference = std::move(d);
+        first = &reference;
+      } else {
+        EXPECT_EQ(d.rows, first->rows);
+        EXPECT_EQ(d.rule_firings, first->rule_firings);
+      }
+    }
+  }
+}
+
 constexpr uint64_t kSeeds = 24;
 
 TEST(ClosureDispatchTest, MatchesRulePathOnRandomGraphs) {
   for (const Case& c : kCases) {
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
       SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
-      const Outcome naive = RunCase(c, seed, Route::kNaive, 1, false);
-      const Outcome rules = RunCase(c, seed, Route::kSemiNaiveRules, 1, false);
-      ASSERT_TRUE(naive.ok) << naive.error;
-      ASSERT_TRUE(rules.ok) << rules.error;
-      EXPECT_EQ(rules.explain.find("closure kernel"), std::string::npos);
-      const Outcome* first = nullptr;
-      Outcome reference;
-      for (unsigned threads : {1u, 4u}) {
-        for (bool columnar : {false, true}) {
-          SCOPED_TRACE("threads " + std::to_string(threads) + " columnar " +
-                       std::to_string(columnar));
-          Outcome d = RunCase(c, seed, Route::kDispatch, threads, columnar);
-          ASSERT_TRUE(d.ok) << d.error;
-          EXPECT_NE(d.explain.find("closure kernel: "), std::string::npos)
-              << d.explain;
-          EXPECT_EQ(d.relations, naive.relations);
-          EXPECT_EQ(d.tuples_derived, naive.tuples_derived);
-          if (!c.naive_rounds_differ) {
-            EXPECT_EQ(d.iterations, naive.iterations);
-          }
-          EXPECT_EQ(d.iterations, rules.iterations);
-          // The replayed round log: every round's delta and derived rows,
-          // exactly as the rule path logs them.
-          EXPECT_EQ(d.rounds, rules.rounds);
-          EXPECT_EQ(d.round_firings, d.rule_firings);
-          EXPECT_EQ(d.round_derived, d.tuples_derived);
-          // Insertion order is a contract within the route: identical
-          // across thread counts and columnar on/off.
-          if (first == nullptr) {
-            reference = std::move(d);
-            first = &reference;
-          } else {
-            EXPECT_EQ(d.rows, first->rows);
-            EXPECT_EQ(d.rule_firings, first->rule_firings);
-          }
-        }
-      }
+      ExpectMatchesRulePath(c, RandomGraph(seed));
     }
   }
+}
+
+TEST(ClosureDispatchTest, SeededMatchesRulePathOnRandomGraphs) {
+  for (const Case& c : kSeededCases) {
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      ExpectMatchesRulePath(c, RandomGraph(seed));
+    }
+  }
+}
+
+/// A graph given as (source, target) name pairs.
+GraphBuilder Edges(std::vector<std::pair<const char*, const char*>> edges) {
+  return [edges](Database* db) {
+    ASSERT_OK(db->Declare("edge", 2).status());
+    for (const auto& [x, y] : edges) ASSERT_OK(db->AddSymFact("edge", {x, y}));
+  };
+}
+
+TEST(ClosureDispatchTest, SeededEdgeCases) {
+  constexpr char kForward[] =
+      "p(Y) :- edge(s, Y).\n"
+      "p(Y) :- p(Z), edge(Z, Y).\n";
+  constexpr char kBackward[] =
+      "p(X) :- edge(X, s).\n"
+      "p(X) :- edge(X, Z), p(Z).\n";
+  const Case forward{"forward", QueryRequest::Language::kDatalog, kForward,
+                     false, "closure kernel: p over edge from s"};
+  const Case backward{"backward", QueryRequest::Language::kDatalog, kBackward,
+                      false, "closure kernel: p over edge to s"};
+  struct Graph {
+    const char* name;
+    GraphBuilder build;
+    std::set<std::string> from_s, to_s;
+  };
+  const Graph graphs[] = {
+      {"seed absent", Edges({{"a", "b"}, {"b", "c"}}), {}, {}},
+      {"no out-edges", Edges({{"a", "s"}, {"b", "s"}, {"c", "a"}}), {},
+       {"a", "b", "c"}},
+      {"seed on a cycle", Edges({{"s", "a"}, {"a", "b"}, {"b", "s"},
+                                 {"b", "c"}}),
+       {"a", "b", "c", "s"}, {"a", "b", "s"}},
+      {"self-loop at the seed", Edges({{"s", "s"}, {"s", "a"}}),
+       {"a", "s"}, {"s"}},
+  };
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.name);
+    ExpectMatchesRulePath(forward, g.build);
+    ExpectMatchesRulePath(backward, g.build);
+    const Outcome f = RunOn(forward, g.build, Route::kDispatch, 1, false);
+    const Outcome b = RunOn(backward, g.build, Route::kDispatch, 1, false);
+    ASSERT_TRUE(f.ok) << f.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(f.relations.at("p"), g.from_s);
+    EXPECT_EQ(b.relations.at("p"), g.to_s);
+  }
+}
+
+TEST(ClosureDispatchTest, Fig12RtScaleOnFlights) {
+  // The prototype's RT-scale query (bench_fig12_prototype) on the
+  // airline workload: both seeds of al0's closure go to the kernel.
+  const Case rt{"rt_scale_flights", QueryRequest::Language::kGraphLog,
+                "query rt-scale {\n"
+                "  edge \"city0\" -> C : al0+;\n"
+                "  edge C -> \"city1\" : al0+;\n"
+                "  distinguished C -> C : rt-scale;\n"
+                "}\n",
+                false, "over al0 to city1"};
+  auto flights = [](Database* db) {
+    workload::FlightsOptions opts;
+    opts.num_flights = 240;
+    opts.num_cities = 20;
+    opts.num_airlines = 3;
+    ASSERT_OK(workload::Flights(opts, db));
+  };
+  ExpectMatchesRulePath(rt, flights);
+  const Outcome d = RunOn(rt, flights, Route::kDispatch, 1, false);
+  ASSERT_TRUE(d.ok) << d.error;
+  EXPECT_NE(d.explain.find("over al0 from city0"), std::string::npos)
+      << d.explain;
+  // Same scales as the unspecialized full closure.
+  Case full = rt;
+  full.seeded_route = nullptr;
+  const Outcome all = RunOn(full, flights, Route::kDispatch, 1, false);
+  ASSERT_TRUE(all.ok) << all.error;
+  EXPECT_FALSE(all.relations.at("rt-scale").empty());
+  EXPECT_EQ(d.relations.at("rt-scale"), all.relations.at("rt-scale"));
 }
 
 TEST(ClosureDispatchTest, BulkLoadedClosureServesLaterParallelRuns) {
@@ -314,6 +485,11 @@ constexpr char kTcProgram[] =
     "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
     "reach(X) :- tc(X, X).\n";
 
+constexpr char kSeededProgram[] =
+    "tc(Y) :- edge(n0, Y).\n"
+    "tc(Y) :- tc(Z), edge(Z, Y).\n"
+    "reach(X) :- tc(X), edge(X, n0).\n";
+
 /// Names and sizes of every relation: the state a rollback restores.
 std::map<std::string, size_t> Shape(const Database& db) {
   std::map<std::string, size_t> out;
@@ -323,7 +499,7 @@ std::map<std::string, size_t> Shape(const Database& db) {
   return out;
 }
 
-TEST(ClosureDispatchGovernanceTest, CancelMidKernelRestoresPreRunState) {
+void ExpectCancelMidKernelRestores(const char* program) {
   Database db;
   ASSERT_OK(workload::RandomDigraph(200, 800, 11, &db));
   ASSERT_OK(db.AddSymFact("reach", {"n0"}));  // a pre-existing head
@@ -344,7 +520,7 @@ TEST(ClosureDispatchGovernanceTest, CancelMidKernelRestoresPreRunState) {
   Status result = Status::OK();
   const auto start = std::chrono::steady_clock::now();
   std::thread worker([&] {
-    result = eval::EvaluateText(kTcProgram, &db, opts).status();
+    result = eval::EvaluateText(program, &db, opts).status();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   token.Cancel();
@@ -359,7 +535,15 @@ TEST(ClosureDispatchGovernanceTest, CancelMidKernelRestoresPreRunState) {
   EXPECT_EQ(Shape(db), before);
 }
 
-TEST(ClosureDispatchGovernanceTest, EvalRoundFaultAtHitTwoRollsBack) {
+TEST(ClosureDispatchGovernanceTest, CancelMidKernelRestoresPreRunState) {
+  ExpectCancelMidKernelRestores(kTcProgram);
+}
+
+TEST(ClosureDispatchGovernanceTest, SeededCancelMidKernelRestoresPreRunState) {
+  ExpectCancelMidKernelRestores(kSeededProgram);
+}
+
+void ExpectEvalRoundFaultAtHitTwoRollsBack(const char* program) {
   Database db;
   ASSERT_OK(workload::RandomDigraph(30, 90, 3, &db));
   const auto before = Shape(db);
@@ -373,7 +557,7 @@ TEST(ClosureDispatchGovernanceTest, EvalRoundFaultAtHitTwoRollsBack) {
   g.faults = &fi;
   eval::EvalOptions opts;
   opts.governor = &g;
-  auto r = eval::EvaluateText(kTcProgram, &db, opts);
+  auto r = eval::EvaluateText(program, &db, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_NE(r.status().message().find("boom"), std::string::npos);
@@ -382,7 +566,15 @@ TEST(ClosureDispatchGovernanceTest, EvalRoundFaultAtHitTwoRollsBack) {
   EXPECT_EQ(Shape(db), before);
 }
 
-TEST(ClosureDispatchGovernanceTest, EvalRoundHitsMatchRulePath) {
+TEST(ClosureDispatchGovernanceTest, EvalRoundFaultAtHitTwoRollsBack) {
+  ExpectEvalRoundFaultAtHitTwoRollsBack(kTcProgram);
+}
+
+TEST(ClosureDispatchGovernanceTest, SeededEvalRoundFaultAtHitTwoRollsBack) {
+  ExpectEvalRoundFaultAtHitTwoRollsBack(kSeededProgram);
+}
+
+void ExpectEvalRoundHitsMatchRulePath(const char* program) {
   uint64_t hits[2] = {0, 0};
   for (int dispatched = 0; dispatched < 2; ++dispatched) {
     Database db;
@@ -393,30 +585,40 @@ TEST(ClosureDispatchGovernanceTest, EvalRoundHitsMatchRulePath) {
     eval::EvalOptions opts;
     opts.governor = &g;
     if (dispatched == 0) opts.max_iterations = 1u << 30;
-    ASSERT_OK(eval::EvaluateText(kTcProgram, &db, opts).status());
+    ASSERT_OK(eval::EvaluateText(program, &db, opts).status());
     EXPECT_EQ(fi.hits("tc.expand") > 0, dispatched == 1);
     hits[dispatched] = fi.hits("eval.round");
   }
   EXPECT_EQ(hits[0], hits[1]);
 }
 
-/// Runs kTcProgram on a fresh 40-node graph, optionally pre-seeding
-/// `tc`, and reports whether the kernel ran (tc.expand hits) plus the
-/// resulting rows.
+TEST(ClosureDispatchGovernanceTest, EvalRoundHitsMatchRulePath) {
+  ExpectEvalRoundHitsMatchRulePath(kTcProgram);
+}
+
+TEST(ClosureDispatchGovernanceTest, SeededEvalRoundHitsMatchRulePath) {
+  ExpectEvalRoundHitsMatchRulePath(kSeededProgram);
+}
+
+/// Runs `program` on a fresh 40-node graph, optionally pre-seeding its
+/// closure `tc` (of arity `tc_arity`), and reports whether the kernel ran
+/// (tc.expand hits) plus the resulting rows.
 struct RouteProbe {
   bool kernel_ran = false;
   std::vector<Tuple> tc_rows;
   std::vector<Tuple> reach_rows;
 };
 
-RouteProbe Probe(eval::EvalOptions opts, bool prepopulate) {
+RouteProbe Probe(eval::EvalOptions opts, bool prepopulate,
+                 const char* program, size_t tc_arity) {
   RouteProbe out;
   Database db;
   EXPECT_OK(workload::RandomDigraph(40, 120, 9, &db));
   if (prepopulate) {
     const Relation& edges = *db.Find("edge");
     for (size_t i = 0; i < 5; ++i) {
-      EXPECT_OK(db.AddFact("tc", edges.rows()[i]));
+      const Tuple& e = edges.rows()[i];
+      EXPECT_OK(db.AddFact("tc", Tuple(e.end() - tc_arity, e.end())));
     }
   }
   gov::FaultInjector fi;
@@ -424,7 +626,7 @@ RouteProbe Probe(eval::EvalOptions opts, bool prepopulate) {
   if (opts.governor != nullptr) g.budget = opts.governor->budget;
   g.faults = &fi;
   opts.governor = &g;
-  auto r = eval::EvaluateText(kTcProgram, &db, opts);
+  auto r = eval::EvaluateText(program, &db, opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   out.kernel_ran = fi.hits("tc.expand") > 0;
   out.tc_rows = db.Find("tc")->rows();
@@ -432,12 +634,14 @@ RouteProbe Probe(eval::EvalOptions opts, bool prepopulate) {
   return out;
 }
 
-TEST(ClosureDispatchGovernanceTest, IneligibleRunsStayOnRulePath) {
+void ExpectIneligibleRunsStayOnRulePath(const char* program,
+                                        size_t tc_arity) {
   eval::EvalOptions rules;
   rules.max_iterations = 1u << 30;  // the rule path, as before dispatch
-  const RouteProbe plain = Probe(rules, false);
+  const RouteProbe plain = Probe(rules, false, program, tc_arity);
   EXPECT_FALSE(plain.kernel_ran);
-  EXPECT_TRUE(Probe(eval::EvalOptions{}, false).kernel_ran);
+  EXPECT_TRUE(
+      Probe(eval::EvalOptions{}, false, program, tc_arity).kernel_ran);
 
   // An armed (never-tripping) budget.
   gov::GovernorContext budgeted;
@@ -445,7 +649,7 @@ TEST(ClosureDispatchGovernanceTest, IneligibleRunsStayOnRulePath) {
   budgeted.budget.return_partial = true;
   eval::EvalOptions with_budget;
   with_budget.governor = &budgeted;
-  const RouteProbe b = Probe(with_budget, false);
+  const RouteProbe b = Probe(with_budget, false, program, tc_arity);
   EXPECT_FALSE(b.kernel_ran);
   EXPECT_EQ(b.tc_rows, plain.tc_rows);
   EXPECT_EQ(b.reach_rows, plain.reach_rows);
@@ -454,14 +658,14 @@ TEST(ClosureDispatchGovernanceTest, IneligibleRunsStayOnRulePath) {
   eval::ProvenanceStore store;
   eval::EvalOptions with_prov;
   with_prov.provenance = &store;
-  const RouteProbe p = Probe(with_prov, false);
+  const RouteProbe p = Probe(with_prov, false, program, tc_arity);
   EXPECT_FALSE(p.kernel_ran);
   EXPECT_EQ(p.tc_rows, plain.tc_rows);
   EXPECT_EQ(p.reach_rows, plain.reach_rows);
 
   // A head relation that already holds rows.
-  const RouteProbe pre_rules = Probe(rules, true);
-  const RouteProbe pre = Probe(eval::EvalOptions{}, true);
+  const RouteProbe pre_rules = Probe(rules, true, program, tc_arity);
+  const RouteProbe pre = Probe(eval::EvalOptions{}, true, program, tc_arity);
   EXPECT_FALSE(pre.kernel_ran);
   EXPECT_EQ(pre.tc_rows, pre_rules.tc_rows);
   EXPECT_EQ(pre.reach_rows, pre_rules.reach_rows);
@@ -469,7 +673,40 @@ TEST(ClosureDispatchGovernanceTest, IneligibleRunsStayOnRulePath) {
   // kNaive is the rule-only oracle.
   eval::EvalOptions naive;
   naive.strategy = eval::Strategy::kNaive;
-  EXPECT_FALSE(Probe(naive, false).kernel_ran);
+  EXPECT_FALSE(Probe(naive, false, program, tc_arity).kernel_ran);
+}
+
+TEST(ClosureDispatchGovernanceTest, IneligibleRunsStayOnRulePath) {
+  ExpectIneligibleRunsStayOnRulePath(kTcProgram, 2);
+}
+
+TEST(ClosureDispatchGovernanceTest, SeededIneligibleRunsStayOnRulePath) {
+  ExpectIneligibleRunsStayOnRulePath(kSeededProgram, 1);
+  // A rule reading the seeded closure in full after its pair would see
+  // rows the rule path has not derived yet.
+  for (const char* reader : {"late(X, Y) :- tc(X), tc(Y).\n",
+                             "late(X, Y) :- tc(X), reach(Y).\n"}) {
+    SCOPED_TRACE(reader);
+    const std::string program = std::string(kSeededProgram) + reader;
+    uint64_t kernel_hits[2] = {0, 0};
+    std::set<std::string> late[2];
+    for (int dispatched = 0; dispatched < 2; ++dispatched) {
+      Database db;
+      ASSERT_OK(workload::RandomDigraph(40, 120, 9, &db));
+      gov::FaultInjector fi;
+      gov::GovernorContext g;
+      g.faults = &fi;
+      eval::EvalOptions opts;
+      opts.governor = &g;
+      if (dispatched == 0) opts.max_iterations = 1u << 30;
+      ASSERT_OK(eval::EvaluateText(program, &db, opts).status());
+      kernel_hits[dispatched] = fi.hits("tc.expand");
+      late[dispatched] = RelationSet(db, "late");
+    }
+    EXPECT_EQ(kernel_hits[1], 0u);
+    EXPECT_FALSE(late[0].empty());
+    EXPECT_EQ(late[0], late[1]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +792,69 @@ TEST(ClosureDispatchObservabilityTest, NoKernelWithoutRecursion) {
   EXPECT_EQ(FindSpan(r->trace.spans, "tc.kernel", &count), nullptr);
 }
 
+std::string Note(const obs::Span& s, const std::string& key) {
+  for (const auto& [k, v] : s.notes) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+TEST(ClosureDispatchObservabilityTest, SeededRouteInExplainTraceAndProfile) {
+  for (bool forward : {true, false}) {
+    SCOPED_TRACE(forward ? "forward" : "backward");
+    Database db;
+    ASSERT_OK(workload::RandomDigraph(30, 90, 4, &db));
+    QueryRequest req = QueryRequest::GraphLog(
+        forward ? "query h { edge \"n0\" -> Y : edge+; "
+                  "distinguished \"n0\" -> Y : h; }"
+                : "query h { edge X -> \"n0\" : edge+; "
+                  "distinguished X -> \"n0\" : h; }");
+    req.options.translation.specialize_bound_closures = true;
+    req.options.observability.explain = true;
+    req.options.observability.profile = true;
+    req.options.observability.tracing = true;
+    auto r = graphlog::Run(req, &db);
+    ASSERT_OK(r.status());
+    const std::string route =
+        forward ? "closure kernel: edge-tc-from-n0 over edge from n0"
+                : "closure kernel: edge-tc-to-n0 over edge to n0";
+    EXPECT_NE(r->explain.find("stratum 0: " + route), std::string::npos)
+        << r->explain;
+    EXPECT_NE(r->explain.find("plan: " + route), std::string::npos)
+        << r->explain;
+    // One tc.kernel span: one source, the direction, pairs and waves.
+    int count = 0;
+    const obs::Span* span = FindSpan(r->trace.spans, "tc.kernel", &count);
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(count, 1);
+    const Relation* h = db.Find("h");
+    ASSERT_NE(h, nullptr);
+    EXPECT_FALSE(h->empty());
+    EXPECT_EQ(Attr(*span, "sources"), 1);
+    EXPECT_EQ(Note(*span, "direction"), forward ? "forward" : "backward");
+    EXPECT_EQ(Attr(*span, "pairs"), static_cast<int64_t>(h->size()));
+    EXPECT_GT(Attr(*span, "waves"), 1);
+    // The round-log invariants of profile_test, on the seeded route.
+    uint64_t firings = 0, derived = 0;
+    for (const auto& round : r->profile.rounds) {
+      firings += round.firings;
+      derived += round.derived;
+    }
+    EXPECT_EQ(firings, r->stats.datalog.rule_firings);
+    EXPECT_EQ(derived, r->stats.datalog.tuples_derived);
+    EXPECT_EQ(r->profile.rounds.size(), r->stats.datalog.iterations + 1);
+    for (const auto& rule : r->profile.rules) {
+      EXPECT_EQ(rule.firings,
+                rule.rows_emitted + rule.dup_in_head + rule.dup_in_round)
+          << rule.rule;
+    }
+    // The CSR is the run's one index build; the rule path's hash index
+    // on edge is never built.
+    EXPECT_EQ(r->stats.datalog.index_builds, 1u);
+    EXPECT_EQ(db.Find("edge")->index_builds(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The kernel's own contracts (formerly also asserted on the parallel
 // row kernel).
@@ -634,6 +934,53 @@ TEST(ColumnarKernelTest, WaveHistogramSumsToClosure) {
   ASSERT_OK_AND_ASSIGN(Relation semi, tc::TransitiveClosure(
                                           edges, tc::TcAlgorithm::kSemiNaive));
   EXPECT_TRUE(all.SetEquals(semi));
+}
+
+TEST(ColumnarKernelTest, SeededRunIsOneSourceOfTheClosure) {
+  Database db;
+  ASSERT_OK(workload::RandomDigraph(40, 120, 21, &db));
+  const Relation& edges = *db.Find("edge");
+  ASSERT_OK_AND_ASSIGN(tc::ColumnarClosure full,
+                       tc::ComputeColumnarClosure(edges, nullptr, {}));
+  Relation all(2);
+  full.AppendTo(&all);
+  exec::ThreadPool pool(4);
+  for (const char* name : {"n0", "n7", "missing"}) {
+    for (bool forward : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (forward ? " forward" : " backward"));
+      const Value seed = Value::Sym(db.Intern(name));
+      tc::ClosureOptions o;
+      o.seed = tc::ClosureSeed{seed, forward};
+      ASSERT_OK_AND_ASSIGN(tc::ColumnarClosure serial,
+                           tc::ComputeColumnarClosure(edges, nullptr, o));
+      ASSERT_OK_AND_ASSIGN(tc::ColumnarClosure parallel,
+                           tc::ComputeColumnarClosure(edges, &pool, o));
+      EXPECT_EQ(serial.sources(), 1u);
+      Relation got(1), got_parallel(1);
+      serial.AppendTo(&got);
+      parallel.AppendTo(&got_parallel);
+      EXPECT_EQ(got.rows(), got_parallel.rows());
+      EXPECT_EQ(got.size(), serial.pairs);
+      // The seed's row (column) of the full closure.
+      std::set<Tuple> expected;
+      for (const Tuple& t : all.rows()) {
+        if (t[forward ? 0 : 1] == seed) {
+          expected.insert(Tuple{t[forward ? 1 : 0]});
+        }
+      }
+      EXPECT_EQ(std::set<Tuple>(got.rows().begin(), got.rows().end()),
+                expected);
+      if (std::string(name) == "missing") {
+        EXPECT_TRUE(got.empty());
+      }
+      // Order: depth, then dense id — the depth-by-depth replay's order.
+      Relation by_depth(1);
+      for (size_t d = 1; d <= serial.waves.size(); ++d) {
+        serial.AppendDepth(d, &by_depth);
+      }
+      EXPECT_EQ(by_depth.rows(), got.rows());
+    }
+  }
 }
 
 }  // namespace
