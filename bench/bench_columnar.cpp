@@ -1,20 +1,15 @@
 // Columnar ablation: row-at-a-time vs CSR/bitset evaluation.
 //
 // The columnar layer (src/columnar/) is a pure constant-factor
-// optimisation — same rows, same provenance, same stats — so the claim
-// this bench reproduces is quantitative: serving probes from CSR
-// adjacency spans and running closures/product searches over word-packed
-// bitset frontiers beats the hash-index row path by >= 2x on the
-// workloads the other benches already time:
+// optimisation — same answers as the row kernels — so the claim this
+// bench reproduces is quantitative: running closures/product searches
+// over CSR adjacency spans and word-packed bitset frontiers beats the
+// row path by >= 2x on the workloads the other benches already time:
 //
 //   tc       — per-source transitive closure on RandomDigraph (n up to
 //              400, 4 edges per node), the row BFS kernel
 //              (tc/transitive_closure.h, kBfs) vs the CSR/bitset kernel
 //              (tc/columnar_tc.h);
-//   engine   — the linear-closure GraphLog program on bench_scaling's
-//              graph, the semi-naive engine with eval.columnar off vs on
-//              (CSR build cost included: the engine snapshots EDBs per
-//              batch);
 //   rpq      — the redundant-union expression from bench_rpq_ablation,
 //              DFA product search vs the per-state bitset-frontier
 //              kernel (rpq::EvalRpqBitset).
@@ -32,7 +27,6 @@
 
 #include "bench/bench_util.h"
 #include "columnar/csr_cache.h"
-#include "eval/engine.h"
 #include "graph/data_graph.h"
 #include "graphlog/api.h"
 #include "rpq/rpq_eval.h"
@@ -46,17 +40,11 @@ using bench::CheckOk;
 
 namespace {
 
-// The three graphs mirror the benches whose workloads this ablation
+// The two graphs mirror the benches whose workloads this ablation
 // re-times, seeds included.
 storage::Database MakeTcGraph(int n) {
   storage::Database db;
   CheckOk(workload::RandomDigraph(n, 4 * n, 123, &db), "tc graph");
-  return db;
-}
-
-storage::Database MakeScalingGraph(int n) {
-  storage::Database db;
-  CheckOk(workload::RandomDigraph(n, 3 * n, 7, &db), "scaling graph");
   return db;
 }
 
@@ -67,9 +55,6 @@ storage::Database MakeRpqGraph(int n) {
   return db;
 }
 
-const char* kClosureProgram =
-    "t(X, Y) :- edge(X, Y).\n"
-    "t(X, Y) :- edge(X, Z), t(Z, Y).\n";
 const char* kRpqExpr = "(p | p p | p p p)+";
 
 double MedianMs(std::vector<double> ms) {
@@ -117,45 +102,6 @@ void Report() {
         "tc      n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  %s\n", n,
         row, col, row / col,
         row_tc.SetEquals(col_tc) ? "(MATCH)" : "(MISMATCH!)");
-  }
-
-  // engine: eval.columnar off vs on on the linear-closure program,
-  // largest bench_scaling size. Fresh database per run (the program
-  // materializes t), timing only the evaluation. Both runs stay on the
-  // rule path (max_iterations), whose joins are what columnar changes;
-  // left alone the engine would hand the closure to the kernel.
-  {
-    const int n = 256;
-    std::vector<double> row_ms, col_ms;
-    eval::EvalStats row_stats, col_stats;
-    for (int i = 0; i < kReps; ++i) {
-      storage::Database row_db = MakeScalingGraph(n);
-      eval::EvalOptions row_opts;
-      row_opts.max_iterations = 1u << 30;
-      row_ms.push_back(TimeMs([&] {
-        row_stats = CheckOk(
-            eval::EvaluateText(kClosureProgram, &row_db, row_opts),
-            "row eval");
-      }));
-      storage::Database col_db = MakeScalingGraph(n);
-      eval::EvalOptions opts = row_opts;
-      opts.columnar = true;
-      col_ms.push_back(TimeMs([&] {
-        col_stats = CheckOk(eval::EvaluateText(kClosureProgram, &col_db, opts),
-                            "columnar eval");
-      }));
-      if (i == 0) {
-        bool match = row_db.Find("t")->rows() == col_db.Find("t")->rows() &&
-                     row_stats.rule_firings == col_stats.rule_firings &&
-                     row_stats.tuples_derived == col_stats.tuples_derived;
-        if (!match) std::printf("engine paths DIVERGED (bug!)\n");
-      }
-    }
-    double row = MedianMs(row_ms), col = MedianMs(col_ms);
-    std::printf(
-        "engine  n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  "
-        "(bit-identical rows + stats checked)\n",
-        n, row, col, row / col);
   }
 
   // rpq: DFA product search vs bitset frontiers on the redundant-union
@@ -211,31 +157,6 @@ BENCHMARK(BM_Tc)
     ->Args({1, 200})
     ->Args({0, 400})
     ->Args({1, 400})
-    ->UseRealTime();
-
-void BM_EngineClosure(benchmark::State& state) {
-  int strategy = static_cast<int>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  eval::EvalOptions opts;
-  opts.columnar = strategy == 1;
-  opts.max_iterations = 1u << 30;  // the rule path, as in Report()
-  for (auto _ : state) {
-    state.PauseTiming();
-    storage::Database db = MakeScalingGraph(n);
-    state.ResumeTiming();
-    auto s = CheckOk(eval::EvaluateText(kClosureProgram, &db, opts), "eval");
-    benchmark::DoNotOptimize(s.tuples_derived);
-  }
-  state.SetLabel(std::string(strategy == 0 ? "row" : "columnar") +
-                 " n=" + std::to_string(n));
-}
-BENCHMARK(BM_EngineClosure)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({0, 256})
-    ->Args({1, 256})
     ->UseRealTime();
 
 void BM_Rpq(benchmark::State& state) {

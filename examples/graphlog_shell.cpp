@@ -27,7 +27,7 @@
 //   .slowlog [n|json|...]      inspect / configure the slow-query log
 //   .resource                  per-relation row/byte accounting
 //   .cache [on|off|...]        query result cache (generation-invalidated)
-//   .columnar [on|off]         CSR/bitset evaluation path (bit-identical)
+//   .columnar [stats]          the session's CSR snapshot cache
 //   .view define NAME { ... }  materialized views, incrementally maintained
 //   .session open|list|switch  multiplex epoch-snapshot server sessions
 //   .wal on DIR|off|status     durable mode: write-ahead log + checkpoints
@@ -177,10 +177,8 @@ void PrintHelp() {
       "                           not collected)\n"
       "  .cache [stats]           hit/miss/eviction counters and bytes\n"
       "  .cache clear             drop every cached entry\n"
-      "  .columnar on|off         evaluate through the CSR/bitset columnar\n"
-      "                           path (off by default; answers are\n"
-      "                           bit-identical to the row engine)\n"
       "  .columnar [stats]        CSR snapshot builds/reuses/invalidations\n"
+      "                           of the session's closure-kernel cache\n"
       "  .session                 sessions with epochs; * marks active\n"
       "  .session open [NAME]     open a session pinned to the current\n"
       "                           head snapshot and make it active\n"
@@ -644,13 +642,12 @@ class Shell {
   }
 
   /// Runs one query on the remote session, carrying the shell's eval
-  /// knobs (.threads, .columnar) and limits (.limit) over the wire.
+  /// knobs (.threads) and limits (.limit) over the wire.
   void RemoteQuery(const std::string& text, bool datalog) {
     net::WireQuery q;
     q.language = datalog ? 1 : 0;
     q.text = text;
     q.num_threads = opts_.eval.num_threads;
-    q.columnar = opts_.eval.columnar;
     q.specialize_bound_closures = opts_.translation.specialize_bound_closures;
     q.budget = budget_;
     q.deadline_ms = deadline_ms_;
@@ -1067,33 +1064,21 @@ class Shell {
   }
 
   void HandleColumnar(const std::string& arg) {
-    if (arg == "on") {
-      // CSR snapshots land in the active session's private cache
-      // (Session::Run defaults columnar runs onto it), so sessions never
-      // share column-store state.
-      opts_.eval.columnar = true;
-      std::printf("columnar path on\n");
-      return;
-    }
-    if (arg == "off") {
-      opts_.eval.columnar = false;
-      std::printf("columnar path off\n");
-      return;
-    }
     if (arg.empty() || arg == "stats") {
+      // The closure kernel's CSR snapshots land in the active session's
+      // private cache, so sessions never share column-store state.
       columnar::CsrCache& cc = active().csr_cache();
       columnar::CsrCache::Stats s = cc.stats();
       std::printf(
-          "columnar path %s: %llu CSR builds, %llu reuses, "
+          "CSR cache: %llu builds, %llu reuses, "
           "%llu invalidations, %zu snapshots resident (session %s)\n",
-          opts_.eval.columnar ? "on" : "off",
           static_cast<unsigned long long>(s.builds),
           static_cast<unsigned long long>(s.reuses),
           static_cast<unsigned long long>(s.invalidations), cc.size(),
           active_.c_str());
       return;
     }
-    std::printf("usage: .columnar [on|off|stats]\n");
+    std::printf("usage: .columnar [stats]\n");
   }
 
   void HandleSession(const std::string& arg) {

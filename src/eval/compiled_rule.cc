@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "columnar/csr.h"
 #include "eval/arith.h"
 #include "storage/database.h"
 
@@ -366,20 +365,18 @@ void CompiledRule::Execute(const RelationResolver& resolver,
 void CompiledRule::ExecutePartition(const RelationResolver& resolver,
                                     const BindingSink& sink, size_t part,
                                     size_t num_parts,
-                                    const CsrBindings* csrs,
                                     StepCounters* counters) const {
   // A plan without a positive atom has nothing to partition over; its
   // (at most one) satisfying assignment belongs to partition 0.
   if (driver_step_ < 0 && part > 0) return;
   std::vector<Value> slots(num_slots_);
-  ExecuteStep(0, &slots, resolver, sink, part, num_parts, csrs, counters);
+  ExecuteStep(0, &slots, resolver, sink, part, num_parts, counters);
 }
 
 void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
                                const RelationResolver& resolver,
                                const BindingSink& sink, size_t part,
-                               size_t num_parts, const CsrBindings* csrs,
-                               StepCounters* counters) const {
+                               size_t num_parts, StepCounters* counters) const {
   if (idx == steps_.size()) {
     sink(*slots);
     return;
@@ -390,78 +387,14 @@ void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
   // identically everywhere); the driver's invocation counts once but its
   // per-chunk rows count in every partition; post-driver steps count
   // everywhere. Summed over partitions this reproduces the serial counts.
-  StepCounter* inv_ctr = nullptr;   // invocations (+ csr_invocations)
-  StepCounter* rows_ctr = nullptr;  // rows_out
+  StepCounter* rows_ctr = nullptr;
   if (counters != nullptr) {
     const int i = static_cast<int>(idx);
-    if (i > driver_step_ || part == 0) inv_ctr = &(*counters)[idx];
+    if (i > driver_step_ || part == 0) ++(*counters)[idx].invocations;
     if (i >= driver_step_ || part == 0) rows_ctr = &(*counters)[idx];
-    if (inv_ctr != nullptr) ++inv_ctr->invocations;
   }
-  const columnar::Csr* csr =
-      csrs != nullptr && idx < csrs->size() ? (*csrs)[idx] : nullptr;
   switch (s.kind) {
     case Step::Kind::kScanProbe: {
-      // Columnar path: serve a probe over a binary relation from its CSR
-      // snapshot. Adjacency spans are laid out in row insertion order —
-      // the posting-list order of the hash-index path — so the recursion
-      // sequence (and with it derived rows, insertion order, provenance,
-      // and stats) is bit-identical to the row path below.
-      if (csr != nullptr && !s.probe_cols.empty()) {
-        if (inv_ctr != nullptr) ++inv_ctr->csr_invocations;
-        const bool is_drv = static_cast<int>(idx) == driver_step_;
-        auto chunk = [&](size_t m, size_t* lo, size_t* hi) {
-          *lo = 0;
-          *hi = m;
-          if (is_drv && num_parts > 1) {
-            *lo = part * m / num_parts;
-            *hi = (part + 1) * m / num_parts;
-          }
-        };
-        auto try_pair = [&](const Value& v0, const Value& v1) {
-          for (const auto& [a, b] : s.eq_cols) {
-            if (!((a == 0 ? v0 : v1) == (b == 0 ? v0 : v1))) return;
-          }
-          for (const auto& [col, slot] : s.out_cols) {
-            (*slots)[slot] = col == 0 ? v0 : v1;
-          }
-          if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-          ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                      counters);
-        };
-        if (s.probe_cols.size() == 2) {
-          // Fully-bound probe: at most one matching row (relations are
-          // sets); existence by binary search in the sorted span.
-          const int64_t u = csr->IdOf(s.probe_sources[0].Get(*slots));
-          const int64_t t =
-              u < 0 ? -1 : csr->IdOf(s.probe_sources[1].Get(*slots));
-          const bool hit = t >= 0 && csr->HasEdge(static_cast<uint32_t>(u),
-                                                  static_cast<uint32_t>(t));
-          size_t lo, hi;
-          chunk(hit ? 1 : 0, &lo, &hi);
-          if (hit && lo < hi) {
-            try_pair(csr->values[static_cast<size_t>(u)],
-                     csr->values[static_cast<size_t>(t)]);
-          }
-        } else if (s.probe_cols[0] == 0) {
-          const int64_t u = csr->IdOf(s.probe_sources[0].Get(*slots));
-          if (u < 0) return;
-          const auto span = csr->Fwd(static_cast<uint32_t>(u));
-          size_t lo, hi;
-          chunk(span.size(), &lo, &hi);
-          const Value& v0 = csr->values[static_cast<size_t>(u)];
-          for (size_t k = lo; k < hi; ++k) try_pair(v0, csr->values[span[k]]);
-        } else {  // probe_cols == {1}
-          const int64_t t = csr->IdOf(s.probe_sources[0].Get(*slots));
-          if (t < 0) return;
-          const auto span = csr->Rev(static_cast<uint32_t>(t));
-          size_t lo, hi;
-          chunk(span.size(), &lo, &hi);
-          const Value& v1 = csr->values[static_cast<size_t>(t)];
-          for (size_t k = lo; k < hi; ++k) try_pair(csr->values[span[k]], v1);
-        }
-        return;
-      }
       const Relation* rel = resolver(s.pred, s.occurrence);
       if (rel == nullptr || rel->empty()) return;
       auto try_row = [&](const Tuple& row) {
@@ -472,8 +405,7 @@ void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
           (*slots)[slot] = row[col];
         }
         if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-        ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                    counters);
+        ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, counters);
       };
       // The driver step enumerates only its contiguous chunk of the row
       // range; partition boundaries use the standard p*m/P split so the
@@ -505,32 +437,6 @@ void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
       return;
     }
     case Step::Kind::kNegCheck: {
-      // Columnar anti-join: existence against the CSR snapshot. A probed
-      // negation over a binary relation never carries eq_cols (a repeated
-      // unbound variable forces the scan path), so presence of any match
-      // is exactly "negation fails".
-      if (csr != nullptr && !s.probe_cols.empty() && s.eq_cols.empty()) {
-        if (inv_ctr != nullptr) ++inv_ctr->csr_invocations;
-        bool found = false;
-        if (s.probe_cols.size() == 2) {
-          const int64_t u = csr->IdOf(s.probe_sources[0].Get(*slots));
-          const int64_t t =
-              u < 0 ? -1 : csr->IdOf(s.probe_sources[1].Get(*slots));
-          found = t >= 0 && csr->HasEdge(static_cast<uint32_t>(u),
-                                         static_cast<uint32_t>(t));
-        } else if (s.probe_cols[0] == 0) {
-          const int64_t u = csr->IdOf(s.probe_sources[0].Get(*slots));
-          found = u >= 0 && !csr->Fwd(static_cast<uint32_t>(u)).empty();
-        } else {
-          const int64_t t = csr->IdOf(s.probe_sources[0].Get(*slots));
-          found = t >= 0 && !csr->Rev(static_cast<uint32_t>(t)).empty();
-        }
-        if (found) return;  // negation fails
-        if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-        ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                    counters);
-        return;
-      }
       const Relation* rel = resolver(s.pred, s.occurrence);
       if (rel != nullptr && !rel->empty()) {
         bool found = false;
@@ -559,23 +465,20 @@ void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
         if (found) return;  // negation fails
       }
       if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                  counters);
+      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, counters);
       return;
     }
     case Step::Kind::kCompare: {
       if (EvalCmp(s.cmp, s.lhs.Get(*slots), s.rhs.Get(*slots))) {
         if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-        ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                    counters);
+        ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, counters);
       }
       return;
     }
     case Step::Kind::kEqBind: {
       (*slots)[s.bind_slot] = s.bind_source.Get(*slots);
       if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                  counters);
+      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, counters);
       return;
     }
     case Step::Kind::kAssign: {
@@ -587,8 +490,7 @@ void CompiledRule::ExecuteStep(size_t idx, std::vector<Value>* slots,
         (*slots)[s.target_slot] = v;
       }
       if (rows_ctr != nullptr) ++rows_ctr->rows_out;
-      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, csrs,
-                  counters);
+      ExecuteStep(idx + 1, slots, resolver, sink, part, num_parts, counters);
       return;
     }
   }

@@ -29,10 +29,6 @@
 #include "datalog/ast.h"
 #include "storage/relation.h"
 
-namespace graphlog::columnar {
-struct Csr;  // columnar/csr.h
-}
-
 namespace graphlog::storage {
 class Database;  // storage/database.h
 }
@@ -127,14 +123,6 @@ using RelationResolver =
 /// \brief Receives each satisfying assignment (the full slot vector).
 using BindingSink = std::function<void(const std::vector<Value>& slots)>;
 
-/// \brief Per-step CSR bindings for the columnar join path: entry i is
-/// the CSR snapshot serving steps()[i], or nullptr to use the row path
-/// for that step. The engine binds CSRs only to kScanProbe/kNegCheck
-/// steps over arity-2 relations; a bound CSR must be a snapshot of
-/// exactly the relation the step's resolver returns. An empty vector
-/// (or null pointer) disables the columnar path entirely.
-using CsrBindings = std::vector<const columnar::Csr*>;
-
 /// \brief Cardinality oracle used by the join-order heuristic and by
 /// EXPLAIN: the estimated number of rows of `pred` matching a probe bound
 /// on `bound_cols` (strictly increasing column positions; empty = a full
@@ -161,9 +149,8 @@ CardinalityFn MakeDbCardinality(const storage::Database* db);
 /// partition counts the rows of its own chunk; steps after the driver
 /// enumerate disjoint work per partition and count everywhere.
 struct StepCounter {
-  uint64_t invocations = 0;      ///< times the step was entered
-  uint64_t rows_out = 0;         ///< rows passed to the next step
-  uint64_t csr_invocations = 0;  ///< invocations served by a CSR snapshot
+  uint64_t invocations = 0;  ///< times the step was entered
+  uint64_t rows_out = 0;     ///< rows passed to the next step
 };
 using StepCounters = std::vector<StepCounter>;
 
@@ -194,12 +181,6 @@ class CompiledRule {
   /// per-partition derivation buffers back into the serial insertion
   /// order. Plans with no positive atom run entirely in partition 0.
   ///
-  /// `csrs` (nullable) selects the columnar path per step — see
-  /// CsrBindings. A CSR-served probe enumerates matches in the exact
-  /// posting-list order of the hash-index path (CSR spans are built in
-  /// row insertion order), so the sink sequence — and therefore derived
-  /// rows, insertion order, provenance, and stats — is bit-identical to
-  /// the row path.
   /// `counters` (nullable) collects per-step execution counts — see
   /// StepCounters for the partition-counting rules; must be pre-sized to
   /// steps().size(). Null is the zero-overhead path (one pointer test
@@ -207,7 +188,6 @@ class CompiledRule {
   void ExecutePartition(const RelationResolver& resolver,
                         const BindingSink& sink, size_t part,
                         size_t num_parts,
-                        const CsrBindings* csrs = nullptr,
                         StepCounters* counters = nullptr) const;
 
   /// \brief Builds the head tuple for a satisfying assignment; only valid
@@ -265,8 +245,7 @@ class CompiledRule {
 
   void ExecuteStep(size_t idx, std::vector<Value>* slots,
                    const RelationResolver& resolver, const BindingSink& sink,
-                   size_t part, size_t num_parts, const CsrBindings* csrs,
-                   StepCounters* counters) const;
+                   size_t part, size_t num_parts, StepCounters* counters) const;
 };
 
 }  // namespace graphlog::eval

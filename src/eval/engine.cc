@@ -479,7 +479,6 @@ class Engine {
             d == 1 ? c->closure.sources() : w.reached[d - 2];
         obs::StepProfile& step = rp.steps[0];
         step.invocations += probes;
-        step.csr_invocations += probes;
         step.rows_out += exp;
       }
     }
@@ -721,10 +720,6 @@ class Engine {
       std::vector<std::vector<Tuple>> derived;
       std::vector<std::vector<Justification>> just;
       std::vector<uint64_t> firings;
-      // Columnar path: per-step CSR bindings (empty on the row path) and
-      // the shared_ptrs keeping those snapshots alive for the batch.
-      CsrBindings csrs;
-      std::vector<std::shared_ptr<const columnar::Csr>> csr_owned;
       // Profiling buffers, one per partition (empty unless profiling):
       // step counters, head-dup drops, and wall time. Folded into the
       // profile during the serial merge, in partition order.
@@ -750,18 +745,8 @@ class Engine {
       st.resolver = MakeResolver(task, delta);
       // Pre-build every index the plan probes so the fan-out below only
       // reads relation state. Unconditional (also on the serial path) so
-      // index_builds is identical across thread counts. The columnar
-      // path instead binds CSR snapshots to every probed binary step
-      // (skipping those hash indexes entirely — that is its win) and
-      // may fail on a csr.build fault, aborting the batch pre-merge.
-      size_t driver_rows;
-      if (options_.columnar) {
-        GRAPHLOG_ASSIGN_OR_RETURN(
-            driver_rows,
-            PrepareColumnar(*st.rule, st.resolver, &st.csrs, &st.csr_owned));
-      } else {
-        driver_rows = PrepareIndexes(*st.rule, st.resolver);
-      }
+      // index_builds is identical across thread counts.
+      const size_t driver_rows = PrepareIndexes(*st.rule, st.resolver);
       st.parts =
           lanes <= 1
               ? 1
@@ -816,7 +801,7 @@ class Engine {
               just.push_back(std::move(j));
             }
           },
-          item.part, st.parts, st.csrs.empty() ? nullptr : &st.csrs,
+          item.part, st.parts,
           st.step_counts.empty() ? nullptr : &st.step_counts[item.part]);
     };
     // Per-lane busy time: each worker accumulates into its own slot (no
@@ -931,7 +916,6 @@ class Engine {
             const StepCounter& sc = st.step_counts[p][k];
             rp.steps[k].invocations += sc.invocations;
             rp.steps[k].rows_out += sc.rows_out;
-            rp.steps[k].csr_invocations += sc.csr_invocations;
           }
           task_dup_head += st.dup_head[p];
           rp.wall_ns += static_cast<uint64_t>(st.wall_ns[p]);
@@ -997,44 +981,6 @@ class Engine {
     stats_.index_appends += r.index_appends();
   }
 
-  /// Columnar twin of PrepareIndexes: binds a CSR snapshot to every
-  /// probed arity-2 step (their hash indexes are never built — the
-  /// whole point of the path) and falls back to hash indexes for the
-  /// steps CSR cannot serve. Snapshots come from the run's CsrCache
-  /// (generation-validated reuse) except for uid-0 relations — the
-  /// per-round deltas — which are built fresh, matching the row path's
-  /// per-round delta index builds in cost. Returns driver rows; fails
-  /// only on a csr.build governor fault.
-  Result<size_t> PrepareColumnar(
-      const CompiledRule& c, const RelationResolver& resolver,
-      CsrBindings* csrs,
-      std::vector<std::shared_ptr<const columnar::Csr>>* owned) {
-    csrs->assign(c.steps().size(), nullptr);
-    for (size_t k = 0; k < c.steps().size(); ++k) {
-      const Step& s = c.steps()[k];
-      if (s.kind != Step::Kind::kScanProbe &&
-          s.kind != Step::Kind::kNegCheck) {
-        continue;
-      }
-      if (s.probe_cols.empty()) continue;
-      const Relation* rel = resolver(s.pred, s.occurrence);
-      if (rel == nullptr || rel->empty()) continue;
-      if (rel->arity() == 2) {
-        GRAPHLOG_ASSIGN_OR_RETURN(
-            std::shared_ptr<const columnar::Csr> csr,
-            csr_cache_->Get(*rel, options_.metrics, options_.governor));
-        (*csrs)[k] = csr.get();
-        owned->push_back(std::move(csr));
-      } else {
-        rel->BuildIndex(s.probe_cols);
-      }
-    }
-    const Step* d = c.driver();
-    if (d == nullptr) return size_t{0};
-    const Relation* rel = resolver(d->pred, d->occurrence);
-    return rel == nullptr ? size_t{0} : rel->size();
-  }
-
   Status RunAggregateRule(int i) {
     const CompiledRule& c = compiled_.at(i);
     Relation* head_rel = db_->FindMutable(c.head_predicate());
@@ -1078,7 +1024,7 @@ class Engine {
         ++ai;
       }
     };
-    c.ExecutePartition(resolver, sink, 0, 1, nullptr,
+    c.ExecutePartition(resolver, sink, 0, 1,
                        profile != nullptr ? &agg_counts : nullptr);
 
     for (const auto& [key, accums] : groups) {
@@ -1106,7 +1052,6 @@ class Engine {
       for (size_t k = 0; k < agg_counts.size(); ++k) {
         rp.steps[k].invocations += agg_counts[k].invocations;
         rp.steps[k].rows_out += agg_counts[k].rows_out;
-        rp.steps[k].csr_invocations += agg_counts[k].csr_invocations;
       }
       rp.wall_ns += obs::NowNs() - t0;
     }
@@ -1211,9 +1156,8 @@ class Engine {
   std::map<int, CompiledRule> compiled_;
   // Worker lanes shared by every batch of this run; null on the serial path.
   std::unique_ptr<exec::ThreadPool> pool_;
-  // CSR snapshots for the columnar join path: the caller's cross-run
-  // cache when provided, else this run-local one. Unused unless
-  // options_.columnar.
+  // CSR snapshots of the closure kernel's EDB bases: the caller's
+  // cross-run cache when provided, else this run-local one.
   columnar::CsrCache local_csr_cache_;
   columnar::CsrCache* csr_cache_;
 

@@ -91,21 +91,10 @@ struct EvalOptions {
   /// Null (the default) costs one pointer test per site. See
   /// gov/governor.h.
   const gov::GovernorContext* governor = nullptr;
-  /// Columnar join path: serve probes over binary (arity-2) relations
-  /// from CSR adjacency snapshots (columnar/csr.h) instead of hash
-  /// indexes, and skip building those hash indexes. CSR spans preserve
-  /// posting-list (row insertion) order, so derived rows, insertion
-  /// order, provenance, and all logical stats are bit-identical to the
-  /// row path; only index_builds/index_appends differ (the physical
-  /// index work the columnar path exists to avoid). Steps the CSR layout
-  /// cannot serve (scans, wider relations) transparently stay on the
-  /// row path.
-  bool columnar = false;
   /// Cache of CSR snapshots reused across runs (invalidation by
-  /// data_generation; see columnar/csr_cache.h), serving the columnar
-  /// join path and, whatever `columnar` says, the closure kernel's EDB
-  /// bases (see ClosureDispatch). Null means a fresh per-run cache —
-  /// correct, but rebuilds CSRs every run.
+  /// data_generation; see columnar/csr_cache.h) for the closure kernel's
+  /// EDB bases (see ClosureDispatch). Null means a fresh per-run cache —
+  /// correct, but rebuilds the base's CSR every run.
   columnar::CsrCache* csr_cache = nullptr;
   /// When set, the engine fills a plan-level execution profile (EXPLAIN
   /// ANALYZE): per rule and per plan step, probes issued, rows matched,
@@ -113,9 +102,9 @@ struct EvalOptions {
   /// wall-clock in the profile's timings section. Logical counters follow
   /// the EvalStats merge discipline — accumulated per (task, partition)
   /// and folded in partition order — so they are bit-identical across
-  /// num_threads and columnar on/off. The profile's rules vector is sized
-  /// to the program's rule count. Null (the default) is the zero-overhead
-  /// path. See obs/profile.h.
+  /// num_threads. The profile's rules vector is sized to the program's
+  /// rule count. Null (the default) is the zero-overhead path. See
+  /// obs/profile.h.
   obs::QueryProfile* profile = nullptr;
 };
 

@@ -250,13 +250,10 @@ cache::QueryKeyOptions KeyOptionsFor(QueryRequest::Language language,
   ko.cardinality_join_ordering = options.eval.cardinality_join_ordering;
   ko.max_iterations = options.eval.max_iterations;
   ko.specialize_bound_closures = options.translation.specialize_bound_closures;
-  // eval.columnar is deliberately NOT part of the fingerprint: the
-  // columnar path produces bit-identical rows and provenance, so a
-  // cached row-path answer may serve a columnar query and vice versa.
-  // observability.* (including profile) is likewise excluded — profiling
-  // never changes results, so a profiled run may serve an unprofiled
-  // request and vice versa (the hit carries the recorded profile, which
-  // the caller is free to ignore).
+  // observability.* (including profile) is deliberately NOT part of the
+  // fingerprint: profiling never changes results, so a profiled run may
+  // serve an unprofiled request and vice versa (the hit carries the
+  // recorded profile, which the caller is free to ignore).
   return ko;
 }
 

@@ -102,11 +102,11 @@ struct QueryOptions {
     /// EXPLAIN ANALYZE: fill QueryResponse::profile with plan-level
     /// execution counters — per rule, per plan step (atom), and per
     /// fixpoint round: probes issued, rows matched, dedup-rejected rows,
-    /// estimated vs actual cardinality, CSR-vs-row-path served counts,
-    /// and per-rule wall-clock. The logical sections are bit-identical
-    /// across num_threads and columnar on/off; with `explain` also set,
-    /// the text rendering is appended to QueryResponse::explain. Off by
-    /// default (zero overhead). See obs/profile.h.
+    /// estimated vs actual cardinality, and per-rule wall-clock. The
+    /// logical sections are bit-identical across num_threads; with
+    /// `explain` also set, the text rendering is appended to
+    /// QueryResponse::explain. Off by default (zero overhead). See
+    /// obs/profile.h.
     bool profile = false;
     /// With `explain`: stop after planning — parse, validate, translate,
     /// and plan, but do not execute. The response carries no stats.
@@ -202,8 +202,8 @@ struct QueryResponse {
   std::string explain;
   /// EXPLAIN ANALYZE profile; empty unless options.observability.profile.
   /// `profile.ToJson(false)` — the logical projection — is byte-identical
-  /// across num_threads and columnar on/off. Cached responses carry the
-  /// profile recorded by the run that populated the entry.
+  /// across num_threads. Cached responses carry the profile recorded by
+  /// the run that populated the entry.
   obs::QueryProfile profile;
   /// True when a governed query stopped early on a resource-budget trip
   /// with ResourceBudget::return_partial set: the materialized relations

@@ -5,11 +5,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cerrno>
 #include <cstring>
 
 #include "durability/wal.h"
+#include "exec/thread_pool.h"
 
 namespace graphlog::net {
 
@@ -361,8 +363,12 @@ Frame NetServer::Dispatch(const Frame& req, Conn* conn,
 
       QueryRequest qr = q.language == 1 ? QueryRequest::Datalog(q.text)
                                         : QueryRequest::GraphLog(q.text);
-      qr.options.eval.num_threads = q.num_threads == 0 ? 1 : q.num_threads;
-      qr.options.eval.columnar = q.columnar;
+      // Lanes are OS threads: a remote client gets at most one per core.
+      // Answers are bit-identical across thread counts, so the clamp
+      // changes no result.
+      static const unsigned kCores = exec::ThreadPool::ResolveParallelism(0);
+      qr.options.eval.num_threads =
+          std::clamp<uint32_t>(q.num_threads, 1, kCores);
       qr.options.translation.specialize_bound_closures =
           q.specialize_bound_closures;
       qr.options.observability.explain = q.explain;

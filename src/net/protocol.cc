@@ -167,7 +167,6 @@ void EncodeQuery(const WireQuery& m, std::string* body) {
   PutU8(body, m.language);
   PutStr(body, m.text);
   PutU32(body, m.num_threads);
-  PutU8(body, m.columnar ? 1 : 0);
   PutU8(body, m.specialize_bound_closures ? 1 : 0);
   PutU8(body, m.explain ? 1 : 0);
   PutBudget(body, m.budget);
@@ -177,7 +176,7 @@ void EncodeQuery(const WireQuery& m, std::string* body) {
 Status DecodeQuery(std::string_view body, WireQuery* m) {
   Cursor c{body};
   if (!c.GetU8(&m->language) || !c.GetStr(&m->text) ||
-      !c.GetU32(&m->num_threads) || !GetBool(&c, &m->columnar) ||
+      !c.GetU32(&m->num_threads) ||
       !GetBool(&c, &m->specialize_bound_closures) ||
       !GetBool(&c, &m->explain) || !GetBudget(&c, &m->budget) ||
       !c.GetU64(&m->deadline_ms)) {

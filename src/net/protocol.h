@@ -21,11 +21,11 @@
 // bounds-checked cursors (the WAL codec idiom): a checksum-valid but
 // logically malformed body is an error, never a wild read.
 //
-// Versioning: every frame carries its protocol version byte. Version 1
-// peers require an exact match; the kHello/kHelloOk exchange is where a
-// future version negotiates down. Message-type values and the layout of
-// existing bodies are frozen once released — new fields append behind a
-// version bump.
+// Versioning: every frame carries its protocol version byte, and peers
+// require an exact match; the kHello/kHelloOk exchange is where a future
+// version negotiates down. Message-type values and the layout of
+// existing bodies are frozen within a version — a body change (v2
+// removed a kQuery field) ships behind a version bump.
 //
 // Error taxonomy on the wire: an error frame carries the full StatusCode
 // enum as a u16 plus the message, so kCancelled / kDeadlineExceeded /
@@ -56,8 +56,8 @@
 
 namespace graphlog::net {
 
-/// \brief Protocol revision this build speaks. v1 peers require equality.
-inline constexpr uint8_t kProtocolVersion = 1;
+/// \brief Protocol revision this build speaks; peers require equality.
+inline constexpr uint8_t kProtocolVersion = 2;
 
 /// \brief Upper bound on one frame's payload; a declared length past it
 /// is a protocol error, not an allocation.
@@ -145,8 +145,7 @@ struct WireSessionInfo {
 struct WireQuery {
   uint8_t language = 0;  ///< 0 = GraphLog, 1 = Datalog
   std::string text;
-  uint32_t num_threads = 1;
-  bool columnar = false;
+  uint32_t num_threads = 1;  ///< the server clamps it to its core count
   bool specialize_bound_closures = false;
   bool explain = false;  ///< return the EXPLAIN rendering too
   gov::ResourceBudget budget;  ///< zero fields defer to server defaults

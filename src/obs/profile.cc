@@ -79,11 +79,6 @@ std::string QueryProfile::ToJson(bool include_timings) const {
       json::AppendInt(&out, static_cast<int64_t>(s.invocations));
       out += ",\"rows_out\":";
       json::AppendInt(&out, static_cast<int64_t>(s.rows_out));
-      if (include_timings) {
-        // PHYSICAL: how the step was served, not what it computed.
-        out += ",\"csr_invocations\":";
-        json::AppendInt(&out, static_cast<int64_t>(s.csr_invocations));
-      }
       out.push_back('}');
     }
     out.push_back(']');
@@ -147,10 +142,6 @@ std::string QueryProfile::ToText(bool include_timings) const {
       }
       out += " probes=" + std::to_string(s.invocations) +
              " rows=" + std::to_string(s.rows_out);
-      if (include_timings && s.csr_invocations > 0) {
-        out += " csr=" + std::to_string(s.csr_invocations) + "/" +
-               std::to_string(s.invocations);
-      }
       out.push_back('\n');
     }
   }

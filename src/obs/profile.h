@@ -11,14 +11,12 @@
 // metrics layers use:
 //
 //   * The LOGICAL sections (rule/step/round counters, labels, estimates)
-//     are bit-identical across num_threads AND across the columnar join
-//     path being on or off: the engine accumulates them per
-//     (task, partition) and merges in partition order, and the counting
-//     rules in eval/compiled_rule.h reproduce exactly the serial
+//     are bit-identical across num_threads: the engine accumulates them
+//     per (task, partition) and merges in partition order, and the
+//     counting rules in eval/compiled_rule.h reproduce exactly the serial
 //     execution's counts. ToJson(false) projects only these sections.
-//   * The PHYSICAL section (per-step CSR-vs-row-path served counts) and
-//     the TIMINGS section (per-rule wall-clock) describe how the work was
-//     executed, not what was computed; both are emitted only by
+//   * The TIMINGS section (per-rule wall-clock) describes how long the
+//     work took, not what was computed; it is emitted only by
 //     ToJson(true) / ToText(true).
 //
 // Dedup accounting: every rule firing either emits a novel tuple or is
@@ -50,15 +48,10 @@ struct StepProfile {
   uint64_t invocations = 0;
   /// Rows this step passed downstream (matches surviving its filters).
   uint64_t rows_out = 0;
-  /// Of `invocations`, how many were served by a CSR snapshot instead of
-  /// the row path. PHYSICAL: differs between columnar on/off by design,
-  /// so it is excluded from the logical JSON projection.
-  uint64_t csr_invocations = 0;
 
   void Merge(const StepProfile& o) {
     invocations += o.invocations;
     rows_out += o.rows_out;
-    csr_invocations += o.csr_invocations;
   }
 
   /// \brief Mean rows per invocation — the "actual" EXPLAIN ANALYZE

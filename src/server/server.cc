@@ -565,15 +565,14 @@ Result<QueryResponse> Session::Run(QueryRequest req) {
                                : server_->result_cache();
   }
   if (o.cache.views == nullptr) o.cache.views = d.cache.views;
-  if (d.eval.columnar) o.eval.columnar = true;
   if (d.translation.specialize_bound_closures) {
     o.translation.specialize_bound_closures = true;
   }
   if (o.eval.num_threads == 1 && d.eval.num_threads != 1) {
     o.eval.num_threads = d.eval.num_threads;
   }
-  // Columnar or not, the closure kernel reads EDB bases through CSR
-  // snapshots: the session's cache builds each once per data change.
+  // The closure kernel reads EDB bases through CSR snapshots: the
+  // session's cache builds each once per data change.
   if (o.eval.csr_cache == nullptr) o.eval.csr_cache = &csr_cache_;
   // Slow-query attribution: which session ran the query, under which
   // server epoch. Attached sessions (and graphlog::Run, which is one)

@@ -28,7 +28,7 @@
 //     session, and a pinned session is immune to later commits until it
 //     Refresh()es. Queries run through the unchanged single-caller
 //     pipeline against the private Database, giving every session the
-//     full engine (parallel lanes, columnar path, result cache, views)
+//     full engine (parallel lanes, closure kernel, result cache, views)
 //     under isolation for free.
 //
 // Sessions intern query-local symbols (variable names, fresh auxiliary

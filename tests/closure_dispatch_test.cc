@@ -5,8 +5,8 @@
 //
 // The differential half checks the dispatched route against the rule
 // path on random graphs — self-loops, cycles, isolated nodes, empty and
-// missing bases, int and string constants — for every thread count and
-// columnar setting: same relations as kNaive, same tuples_derived, and
+// missing bases, int and string constants — for every thread count:
+// same relations as kNaive, same tuples_derived, and
 // the same iterations and per-round derived rows as the semi-naive rule
 // path. The governance half checks cancellation, injected faults, and
 // the cases that must stay on the rule path; the last part covers the
@@ -242,7 +242,7 @@ enum class Route { kNaive, kSemiNaiveRules, kDispatch };
 using GraphBuilder = std::function<void(Database*)>;
 
 Outcome RunOn(const Case& c, const GraphBuilder& build, Route route,
-              unsigned threads, bool columnar) {
+              unsigned threads) {
   Database db;
   build(&db);
   columnar::CsrCache csrs;
@@ -257,7 +257,6 @@ Outcome RunOn(const Case& c, const GraphBuilder& build, Route route,
   // Any max_iterations keeps the engine on the rule path.
   if (route == Route::kSemiNaiveRules) eo.max_iterations = 1u << 30;
   eo.num_threads = threads;
-  eo.columnar = columnar;
   eo.csr_cache = &csrs;
   req.options.observability.profile = true;
   req.options.observability.explain = true;
@@ -291,47 +290,44 @@ GraphBuilder RandomGraph(uint64_t seed) {
 }
 
 /// The dispatched route against kNaive and the semi-naive rule path on
-/// the graph `build` makes, for threads {1, 4} x columnar {off, on}.
+/// the graph `build` makes, for threads {1, 4}.
 void ExpectMatchesRulePath(const Case& c, const GraphBuilder& build) {
-  const Outcome naive = RunOn(c, build, Route::kNaive, 1, false);
-  const Outcome rules = RunOn(c, build, Route::kSemiNaiveRules, 1, false);
+  const Outcome naive = RunOn(c, build, Route::kNaive, 1);
+  const Outcome rules = RunOn(c, build, Route::kSemiNaiveRules, 1);
   ASSERT_TRUE(naive.ok) << naive.error;
   ASSERT_TRUE(rules.ok) << rules.error;
   EXPECT_EQ(rules.explain.find("closure kernel"), std::string::npos);
   const Outcome* first = nullptr;
   Outcome reference;
   for (unsigned threads : {1u, 4u}) {
-    for (bool columnar : {false, true}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " columnar " +
-                   std::to_string(columnar));
-      Outcome d = RunOn(c, build, Route::kDispatch, threads, columnar);
-      ASSERT_TRUE(d.ok) << d.error;
-      EXPECT_NE(d.explain.find("closure kernel: "), std::string::npos)
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Outcome d = RunOn(c, build, Route::kDispatch, threads);
+    ASSERT_TRUE(d.ok) << d.error;
+    EXPECT_NE(d.explain.find("closure kernel: "), std::string::npos)
+        << d.explain;
+    if (c.seeded_route != nullptr) {
+      EXPECT_NE(d.explain.find(c.seeded_route), std::string::npos)
           << d.explain;
-      if (c.seeded_route != nullptr) {
-        EXPECT_NE(d.explain.find(c.seeded_route), std::string::npos)
-            << d.explain;
-      }
-      EXPECT_EQ(d.relations, naive.relations);
-      EXPECT_EQ(d.tuples_derived, naive.tuples_derived);
-      if (!c.naive_rounds_differ) {
-        EXPECT_EQ(d.iterations, naive.iterations);
-      }
-      EXPECT_EQ(d.iterations, rules.iterations);
-      // The replayed round log: every round's delta and derived rows,
-      // exactly as the rule path logs them.
-      EXPECT_EQ(d.rounds, rules.rounds);
-      EXPECT_EQ(d.round_firings, d.rule_firings);
-      EXPECT_EQ(d.round_derived, d.tuples_derived);
-      // Insertion order is a contract within the route: identical
-      // across thread counts and columnar on/off.
-      if (first == nullptr) {
-        reference = std::move(d);
-        first = &reference;
-      } else {
-        EXPECT_EQ(d.rows, first->rows);
-        EXPECT_EQ(d.rule_firings, first->rule_firings);
-      }
+    }
+    EXPECT_EQ(d.relations, naive.relations);
+    EXPECT_EQ(d.tuples_derived, naive.tuples_derived);
+    if (!c.naive_rounds_differ) {
+      EXPECT_EQ(d.iterations, naive.iterations);
+    }
+    EXPECT_EQ(d.iterations, rules.iterations);
+    // The replayed round log: every round's delta and derived rows,
+    // exactly as the rule path logs them.
+    EXPECT_EQ(d.rounds, rules.rounds);
+    EXPECT_EQ(d.round_firings, d.rule_firings);
+    EXPECT_EQ(d.round_derived, d.tuples_derived);
+    // Insertion order is a contract within the route: identical across
+    // thread counts.
+    if (first == nullptr) {
+      reference = std::move(d);
+      first = &reference;
+    } else {
+      EXPECT_EQ(d.rows, first->rows);
+      EXPECT_EQ(d.rule_firings, first->rule_firings);
     }
   }
 }
@@ -394,8 +390,8 @@ TEST(ClosureDispatchTest, SeededEdgeCases) {
     SCOPED_TRACE(g.name);
     ExpectMatchesRulePath(forward, g.build);
     ExpectMatchesRulePath(backward, g.build);
-    const Outcome f = RunOn(forward, g.build, Route::kDispatch, 1, false);
-    const Outcome b = RunOn(backward, g.build, Route::kDispatch, 1, false);
+    const Outcome f = RunOn(forward, g.build, Route::kDispatch, 1);
+    const Outcome b = RunOn(backward, g.build, Route::kDispatch, 1);
     ASSERT_TRUE(f.ok) << f.error;
     ASSERT_TRUE(b.ok) << b.error;
     EXPECT_EQ(f.relations.at("p"), g.from_s);
@@ -421,14 +417,14 @@ TEST(ClosureDispatchTest, Fig12RtScaleOnFlights) {
     ASSERT_OK(workload::Flights(opts, db));
   };
   ExpectMatchesRulePath(rt, flights);
-  const Outcome d = RunOn(rt, flights, Route::kDispatch, 1, false);
+  const Outcome d = RunOn(rt, flights, Route::kDispatch, 1);
   ASSERT_TRUE(d.ok) << d.error;
   EXPECT_NE(d.explain.find("over al0 from city0"), std::string::npos)
       << d.explain;
   // Same scales as the unspecialized full closure.
   Case full = rt;
   full.seeded_route = nullptr;
-  const Outcome all = RunOn(full, flights, Route::kDispatch, 1, false);
+  const Outcome all = RunOn(full, flights, Route::kDispatch, 1);
   ASSERT_TRUE(all.ok) << all.error;
   EXPECT_FALSE(all.relations.at("rt-scale").empty());
   EXPECT_EQ(d.relations.at("rt-scale"), all.relations.at("rt-scale"));

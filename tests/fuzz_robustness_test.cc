@@ -301,58 +301,6 @@ TEST(FuzzRobustnessTest, InterleavedMutationsNeverServeStaleCsr) {
   }
 }
 
-TEST(FuzzRobustnessTest, ColumnarEngineMatchesRowEngineUnderInterleaving) {
-  // Random linear programs evaluated repeatedly while the EDB mutates
-  // between runs, columnar sharing one CsrCache across every run (so
-  // reuse and invalidation both happen). The two engine paths must agree
-  // on every relation after every round.
-  testing::RandomProgramOptions gen;
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::mt19937_64 rng(seed * 0x51afd34ca1ULL);
-    const std::string program = testing::RandomLinearProgram(gen, seed);
-
-    Database row_db, col_db;
-    columnar::CsrCache cache;
-    auto mutate_both = [&](Database* a, Database* b) {
-      const std::string x = "m" + std::to_string(rng() % 9);
-      const std::string y = "m" + std::to_string(rng() % 9);
-      const char* pred = (rng() % 2) == 0 ? "e1" : "e2";
-      for (Database* d : {a, b}) {
-        EXPECT_OK(d->AddFact(
-            pred, {Value::Sym(d->Intern(x)), Value::Sym(d->Intern(y))}));
-      }
-    };
-    for (Database* d : {&row_db, &col_db}) {
-      EXPECT_OK(storage::LoadFacts("e1(a, b). e2(b, a). n1(a).", d)
-                    .status());
-    }
-    for (int round = 0; round < 4; ++round) {
-      SCOPED_TRACE("round " + std::to_string(round));
-      for (int i = 0; i < 3; ++i) mutate_both(&row_db, &col_db);
-
-      eval::EvalOptions row_opts;
-      row_opts.max_iterations = 200;
-      ASSERT_OK(eval::EvaluateText(program, &row_db, row_opts).status());
-
-      eval::EvalOptions col_opts;
-      col_opts.max_iterations = 200;
-      col_opts.columnar = true;
-      col_opts.csr_cache = &cache;
-      col_opts.num_threads = (round % 2) == 0 ? 1 : 4;
-      ASSERT_OK(eval::EvaluateText(program, &col_db, col_opts).status());
-
-      for (const auto& [sym, relation] : row_db.relations()) {
-        const std::string name = row_db.symbols().name(sym);
-        EXPECT_EQ(testutil::RelationSet(row_db, name),
-                  testutil::RelationSet(col_db, name))
-            << "relation " << name;
-      }
-    }
-    EXPECT_GT(cache.stats().builds, 0u);
-  }
-}
-
 TEST(FuzzRobustnessTest, CommitCrashRecoverMatchesCommittedPrefix) {
   // Random streams of write batches against a durable server, crashed by
   // truncating the WAL at a random byte offset. Whatever whole records

@@ -5,8 +5,9 @@
 // over TCP must be bit-identical to the same query answered by an
 // in-process Session on the same server — same relation text, same
 // stats, same Status taxonomy on failure. Around it: protocol codec
-// round-trips, deterministic kOverloaded shedding with retry advice,
-// net.* fault sites, and clean teardown with requests in flight (the
+// round-trips, the protocol version gate, deterministic kOverloaded
+// shedding with retry advice, the remote thread-count clamp, net.* fault
+// sites, and clean teardown with requests in flight (the
 // TSan lane's main subject).
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "durability/wal.h"
+#include "exec/thread_pool.h"
 #include "gov/fault_injection.h"
 #include "net/client.h"
 #include "net/net_server.h"
@@ -65,6 +68,48 @@ std::unique_ptr<net::Client> Connect(const net::NetServer& ns) {
   return client.ok() ? std::move(*client) : nullptr;
 }
 
+/// Opens a bare loopback TCP connection to `ns` (no handshake), or -1.
+/// Reads time out after 5 s, so a server that answers nothing fails the
+/// test instead of hanging it.
+int RawConnect(const net::NetServer& ns) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(ns.port());
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads one frame from `fd` that must be a kError, and decodes it.
+net::WireError RecvError(int fd) {
+  net::WireError err;
+  auto resp = net::RecvFrame(fd, nullptr);
+  EXPECT_OK(resp.status());
+  if (!resp.ok()) return err;
+  EXPECT_EQ(resp->type, net::MsgType::kError);
+  EXPECT_OK(net::DecodeError(resp->body, &err));
+  return err;
+}
+
+/// This process's `Threads:` count from /proc/self/status, or -1 where
+/// /proc is unavailable.
+int ProcessThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
 // ---------------------------------------------------------------------------
 // Protocol codecs
 
@@ -89,7 +134,7 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
     in.language = 1;
     in.text = "t(X, Y) :- edge(X, Y).";
     in.num_threads = 4;
-    in.columnar = true;
+    in.specialize_bound_closures = true;
     in.explain = true;
     in.budget.max_rounds = 9;
     std::string body;
@@ -99,7 +144,7 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
     EXPECT_EQ(out.language, 1);
     EXPECT_EQ(out.text, in.text);
     EXPECT_EQ(out.num_threads, 4u);
-    EXPECT_TRUE(out.columnar);
+    EXPECT_TRUE(out.specialize_bound_closures);
     EXPECT_TRUE(out.explain);
     EXPECT_EQ(out.budget.max_rounds, 9u);
   }
@@ -381,14 +426,8 @@ TEST(NetServerTest, ClientCapturesLoadFilesAndServerRejectsRemotePaths) {
   raw.type = net::MsgType::kApplyBatch;
   ASSERT_OK(durability::BatchCodec::Encode(WriteBatch().LoadFile("/etc/motd"),
                                            {"ignored(a)."}, &raw.body));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = RawConnect(*ns);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(ns->port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   net::Frame hello;
   hello.type = net::MsgType::kHello;
   net::EncodeHello(net::WireHello{}, &hello.body);
@@ -400,12 +439,58 @@ TEST(NetServerTest, ClientCapturesLoadFilesAndServerRejectsRemotePaths) {
   ASSERT_OK(net::SendFrame(fd, open, nullptr));
   ASSERT_OK(net::RecvFrame(fd, nullptr).status());
   ASSERT_OK(net::SendFrame(fd, raw, nullptr));
-  auto resp = net::RecvFrame(fd, nullptr);
-  ASSERT_OK(resp.status());
-  ASSERT_EQ(resp->type, net::MsgType::kError);
-  net::WireError err;
-  ASSERT_OK(net::DecodeError(resp->body, &err));
-  EXPECT_EQ(err.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(RecvError(fd).code, StatusCode::kInvalidArgument);
+  ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// Version gate
+
+TEST(NetServerTest, OldFrameVersionIsRefusedNamingBothVersions) {
+  Server server;
+  auto ns = Serve(&server);
+  ASSERT_NE(ns, nullptr);
+  const int fd = RawConnect(*ns);
+  ASSERT_GE(fd, 0);
+  // A version-1 peer's hello: version 1 in the frame header and the body.
+  std::string payload = {'\x01', static_cast<char>(net::MsgType::kHello)};
+  net::EncodeHello(net::WireHello{1}, &payload);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = durability::Crc32(payload.data(), payload.size());
+  std::string bytes(8, '\0');
+  std::memcpy(bytes.data(), &len, 4);
+  std::memcpy(bytes.data() + 4, &crc, 4);
+  bytes += payload;
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  const net::WireError err = RecvError(fd);
+  EXPECT_EQ(err.code, StatusCode::kUnsupported);
+  EXPECT_NE(err.message.find("protocol version 1 "), std::string::npos)
+      << err.message;
+  EXPECT_NE(err.message.find(
+                "speaks " + std::to_string(net::kProtocolVersion) + ")"),
+            std::string::npos)
+      << err.message;
+  EXPECT_TRUE(net::IsCleanClose(net::RecvFrame(fd, nullptr).status()));
+  ::close(fd);
+}
+
+TEST(NetServerTest, OldHelloVersionIsRefusedAndTheConnectionCloses) {
+  Server server;
+  auto ns = Serve(&server);
+  ASSERT_NE(ns, nullptr);
+  const int fd = RawConnect(*ns);
+  ASSERT_GE(fd, 0);
+  // A current frame whose hello body asks for version 1.
+  net::Frame hello;
+  hello.type = net::MsgType::kHello;
+  net::EncodeHello(net::WireHello{1}, &hello.body);
+  ASSERT_OK(net::SendFrame(fd, hello, nullptr));
+  const net::WireError err = RecvError(fd);
+  EXPECT_EQ(err.code, StatusCode::kUnsupported);
+  EXPECT_NE(err.message.find("protocol version 1 "), std::string::npos)
+      << err.message;
+  EXPECT_TRUE(net::IsCleanClose(net::RecvFrame(fd, nullptr).status()));
   ::close(fd);
 }
 
@@ -465,6 +550,58 @@ TEST(NetServerTest, OverloadShedsDeterministicallyWithRetryAdvice) {
   EXPECT_GE(metrics.counter("net.accepted")->value(), 2u);
   EXPECT_GT(metrics.counter("net.bytes_in")->value(), 0u);
   EXPECT_GT(metrics.counter("net.bytes_out")->value(), 0u);
+}
+
+TEST(NetServerTest, RemoteThreadCountIsClampedToTheCoreCount) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "no /proc/self/status";
+  const unsigned cores = exec::ThreadPool::ResolveParallelism(0);
+  gov::FaultInjector faults;
+  Server server;
+  SeedEdges(&server);
+  auto ns = Serve(&server, {.faults = &faults});
+  ASSERT_NE(ns, nullptr);
+  auto client = Connect(*ns);
+  ASSERT_NE(client, nullptr);
+  ASSERT_OK(client->OpenSession().status());
+
+  // Hold the query in its first fixpoint round, when its engine's lanes
+  // are all running, and count this process's threads there.
+  gov::FaultSpec stall;
+  stall.action = gov::FaultAction::kStall;
+  stall.stall_ms = 1000;
+  stall.trigger_hit = 1;
+  faults.Arm("eval.round", stall);
+  const int before = ProcessThreads();
+  net::WireQuery wide = TcQuery();
+  wide.num_threads = cores + 8;
+  Status wide_status;
+  uint64_t wide_rows = 0;
+  std::thread runner([&] {
+    auto r = client->Run(wide);
+    wide_status = r.status();
+    if (r.ok()) wide_rows = r->result_tuples;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (faults.hits("eval.round") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int during = ProcessThreads();
+  runner.join();
+  ASSERT_OK(wide_status);
+  // The runner plus at most cores - 1 pool workers, and one to spare;
+  // unclamped, the pool alone would add cores + 7.
+  EXPECT_LE(during - before, static_cast<int>(cores) + 1)
+      << "before " << before << ", during " << during;
+
+  // Clamping changes no result.
+  net::WireQuery serial = TcQuery();
+  serial.num_threads = 1;
+  auto want = client->Run(serial);
+  ASSERT_OK(want.status());
+  EXPECT_EQ(wide_rows, want->result_tuples);
+  EXPECT_GT(wide_rows, 0u);
 }
 
 TEST(NetServerTest, ConnectionLimitShedsWithOverloadedHandshake) {

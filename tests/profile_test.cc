@@ -1,8 +1,7 @@
 // EXPLAIN ANALYZE profiling and the relation-statistics subsystem.
 //
 // The profile's logical sections must be bit-identical across num_threads
-// and across the columnar path being on or off (the same contract the
-// engine's stats and provenance already obey); RelationStats must follow
+// (the same contract the engine's stats and provenance already obey); RelationStats must follow
 // the CSR cache's invalidation rules (data_generation + size stamp,
 // DropIndexes exempt) while refreshing incrementally on grow-only
 // workloads; and turning profiling on must never change what a query
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "cache/result_cache.h"
-#include "columnar/csr_cache.h"
 #include "eval/engine.h"
 #include "graphlog/api.h"
 #include "obs/metrics.h"
@@ -50,16 +48,12 @@ constexpr char kClosureQuery[] =
 
 /// Runs `text` on a fresh seeded database with profiling on and returns
 /// the response.
-QueryResponse RunProfiled(const std::string& text, unsigned num_threads,
-                          bool columnar) {
+QueryResponse RunProfiled(const std::string& text, unsigned num_threads) {
   Database db;
   SeedGraph(&db);
-  columnar::CsrCache csrs;
   QueryRequest req = QueryRequest::GraphLog(text);
   req.options.observability.profile = true;
   req.options.eval.num_threads = num_threads;
-  req.options.eval.columnar = columnar;
-  if (columnar) req.options.eval.csr_cache = &csrs;
   auto r = graphlog::Run(req, &db);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(*r);
@@ -69,48 +63,22 @@ QueryResponse RunProfiled(const std::string& text, unsigned num_threads,
 // Determinism: the acceptance bar for the logical profile.
 
 TEST(ProfileDeterminismTest, LogicalJsonByteIdenticalAcrossThreadCounts) {
-  const std::string serial = RunProfiled(kClosureQuery, 1, false)
+  const std::string serial = RunProfiled(kClosureQuery, 1)
                                  .profile.ToJson(/*include_timings=*/false);
   EXPECT_FALSE(serial.empty());
   for (unsigned threads : {2u, 4u, 8u}) {
     const std::string parallel =
-        RunProfiled(kClosureQuery, threads, false)
+        RunProfiled(kClosureQuery, threads)
             .profile.ToJson(/*include_timings=*/false);
     EXPECT_EQ(serial, parallel) << "num_threads=" << threads;
   }
-}
-
-TEST(ProfileDeterminismTest, LogicalJsonByteIdenticalAcrossColumnarOnOff) {
-  const std::string row = RunProfiled(kClosureQuery, 1, false)
-                              .profile.ToJson(/*include_timings=*/false);
-  const std::string csr = RunProfiled(kClosureQuery, 1, true)
-                              .profile.ToJson(/*include_timings=*/false);
-  EXPECT_EQ(row, csr);
-  // Columnar x parallel together must also land on the same bytes.
-  EXPECT_EQ(row, RunProfiled(kClosureQuery, 4, true)
-                     .profile.ToJson(/*include_timings=*/false));
-}
-
-TEST(ProfileDeterminismTest, CsrServedCountsAreConfinedToTimingsSection) {
-  QueryProfile row = RunProfiled(kClosureQuery, 1, false).profile;
-  QueryProfile csr = RunProfiled(kClosureQuery, 1, true).profile;
-  uint64_t served = 0;
-  for (const auto& r : csr.rules) {
-    for (const auto& s : r.steps) served += s.csr_invocations;
-  }
-  EXPECT_GT(served, 0u) << "columnar run never hit the CSR path";
-  // The physical counter differs between the paths, so it may only appear
-  // in the timings projection.
-  EXPECT_NE(row.ToJson(true), csr.ToJson(true));
-  EXPECT_EQ(row.ToJson(false), csr.ToJson(false));
-  EXPECT_EQ(row.ToJson(false).find("csr_invocations"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
 // Profile contents.
 
 TEST(ProfileTest, DedupAccountingBalancesPerRule) {
-  QueryProfile p = RunProfiled(kClosureQuery, 1, false).profile;
+  QueryProfile p = RunProfiled(kClosureQuery, 1).profile;
   ASSERT_FALSE(p.rules.empty());
   ASSERT_FALSE(p.rounds.empty());
   uint64_t firings = 0;
@@ -129,7 +97,7 @@ TEST(ProfileTest, DedupAccountingBalancesPerRule) {
 }
 
 TEST(ProfileTest, StepsCarryEstimatesAndActuals) {
-  QueryProfile p = RunProfiled(kClosureQuery, 1, false).profile;
+  QueryProfile p = RunProfiled(kClosureQuery, 1).profile;
   bool saw_estimate = false;
   bool saw_rows = false;
   for (const auto& r : p.rules) {
@@ -150,7 +118,7 @@ TEST(ProfileTest, StepsCarryEstimatesAndActuals) {
 }
 
 TEST(ProfileTest, RoundLogMatchesEvalStats) {
-  QueryResponse resp = RunProfiled(kClosureQuery, 1, false);
+  QueryResponse resp = RunProfiled(kClosureQuery, 1);
   uint64_t derived = 0;
   uint64_t firings = 0;
   for (const auto& r : resp.profile.rounds) {

@@ -2,8 +2,8 @@
 //
 // The load-bearing properties (DESIGN §11): a session pinned to a
 // snapshot never observes commits published after it opened — including
-// through the columnar path and result-cache hits — aborted batches are
-// invisible at every level (contents, stamps, epoch), and every
+// through the closure kernel's CSR cache and result-cache hits — aborted
+// batches are invisible at every level (contents, stamps, epoch), and every
 // concurrent reader's result is bit-identical to evaluating the same
 // query single-threaded on a quiesced copy of its snapshot. Runs under
 // the `robustness` ctest label, so the TSan/ASan lanes
@@ -179,9 +179,7 @@ TEST(ServerIsolationTest, PinnedUnderColumnarAndCacheHits) {
   cache::ResultCache rcache;
   Server server({.result_cache = &rcache});
   ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
-  SessionOptions so;
-  so.defaults.eval.columnar = true;
-  ASSERT_OK_AND_ASSIGN(auto reader, server.OpenSession(so));
+  ASSERT_OK_AND_ASSIGN(auto reader, server.OpenSession());
   const std::set<std::string> expected = QuiescedTc(kSeedFacts);
 
   ASSERT_OK_AND_ASSIGN(QueryResponse first,
@@ -191,7 +189,7 @@ TEST(ServerIsolationTest, PinnedUnderColumnarAndCacheHits) {
   EXPECT_GT(reader->csr_cache().stats().builds, 0u);
 
   // Writer commits; the pinned reader's repeat run — now a result-cache
-  // hit over the columnar path — must still serve the snapshot answer.
+  // hit — must still serve the snapshot answer.
   ASSERT_OK(server.Apply(WriteBatch().Insert("edge", {"e", "f"})).status());
   ASSERT_OK_AND_ASSIGN(QueryResponse second,
                        reader->Run(QueryRequest::GraphLog(kTcQuery)));
@@ -525,9 +523,7 @@ TEST(ServerConcurrencyTest, ConcurrentReadersShareCacheAndColumnarSafely) {
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
-      SessionOptions so;
-      so.defaults.eval.columnar = true;
-      auto session_or = server.OpenSession(so);
+      auto session_or = server.OpenSession();
       if (!session_or.ok()) {
         failed.store(true);
         return;
